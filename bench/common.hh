@@ -108,6 +108,22 @@ applyCommonFlags(const Options &opts, SimConfig &config)
     setQuietLogging(!opts.has("verbose"));
 }
 
+/**
+ * Pin a cycle-by-cycle run to the thread mode speculative replay uses,
+ * so its wall time is the model's Tcc. The parallel engine steps every
+ * replay window on the manager thread alone (workers parked), which
+ * is hostThreads=1 inline mode. Threaded CC at the auto thread count
+ * runs lock-step across host threads and measured about 4x slower on
+ * a 4-CPU host (EXPERIMENTS.md, "Which Tcc the model gets"), so it
+ * would overprice the F*Tcc replay term.
+ */
+inline void
+pinToReplayThreads(SimConfig &config)
+{
+    if (config.engine.parallelHost)
+        config.engine.hostThreads = 1;
+}
+
 /** Announce a harness and its knobs on stdout. */
 inline void
 banner(const std::string &what, const Options &opts,

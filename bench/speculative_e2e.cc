@@ -52,6 +52,7 @@ main(int argc, char **argv)
         SimConfig cc = paperSetup(kernel, uops);
         applyCommonFlags(opts, cc);
         cc.engine.scheme = SchemeKind::CycleByCycle;
+        pinToReplayThreads(cc); // Tcc prices the replay term
         const RunResult r_cc = runSimulation(cc);
 
         Table table("Speculative e2e [" + kernel + "] (CC = " +

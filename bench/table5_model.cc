@@ -43,6 +43,7 @@ main(int argc, char **argv)
         SimConfig cc = paperSetup(kernel, uops);
         applyCommonFlags(opts, cc);
         cc.engine.scheme = SchemeKind::CycleByCycle;
+        pinToReplayThreads(cc); // Tcc prices the replay term
         const RunResult r_cc = runSimulation(cc);
 
         double est[2], fs[2], drs[2];

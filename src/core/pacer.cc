@@ -113,9 +113,11 @@ Pacer::maxLocalForCore(CoreId core, Tick global_time,
     if (global_time >= nextShuffleAt_)
         shufflePeers(global_time);
     // A core may run ahead of its randomly chosen peer by at most the
-    // slack bound. The slowest core's peer is always >= the global
-    // minimum, so the slowest core can always run: deadlock-free.
-    return locals[peers_[core]] + bound_;
+    // slack bound. Flooring the peer's clock at the global minimum
+    // keeps the slowest core runnable even when its peer has finished
+    // (a finished clock stops below the unfinished minimum, and global
+    // time could then never reach the next re-pairing): deadlock-free.
+    return std::max(locals[peers_[core]], global_time) + bound_;
 }
 
 bool

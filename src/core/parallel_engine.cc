@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <chrono>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -106,7 +107,8 @@ ParallelEngine::ParallelEngine(SimSystem &sys)
     workerWoken_.assign(workerCount_, 0);
     lastRun_.assign(sys_.numCores(),
                     static_cast<std::uint8_t>(CoreRun::Progress));
-    inlineLean_ = workerCount_ == 0 && relays_.empty();
+    managerDrives_.store(workerCount_ == 0 && relays_.empty(),
+                         std::memory_order_relaxed);
 }
 
 void
@@ -157,13 +159,18 @@ ParallelEngine::runCoreBurst(CoreId c)
 {
     CoreComplex &cc = sys_.core(c);
     CoreControl &ctl = *controls_[c];
+    // Constant across the burst: the flag only flips while the world
+    // is stopped, and a worker never runs a burst then.
+    const bool lean = managerDrives_.load(std::memory_order_relaxed);
 
     if (cc.finished()) {
         if (!ctl.finished.load(std::memory_order_relaxed)) {
             ctl.finished.store(true, std::memory_order_release);
             ctl.committed.store(cc.committedUops(),
                                 std::memory_order_release);
-            if (inlineLean_) {
+            ctl.committedAt.store(cc.localTime(),
+                                  std::memory_order_release);
+            if (lean) {
                 // Final drain at the transition; a finished core
                 // emits nothing more, so later rounds skip it
                 // entirely (the serial engine rescans every round).
@@ -202,14 +209,14 @@ ParallelEngine::runCoreBurst(CoreId c)
     const std::uint64_t burst_wall = obs::traceWallNs();
     {
         obs::PhaseScope simulate(obs::Phase::Simulate);
-        // Inline mode: the manager is the only writer of maxLocal and
-        // phase/stop, and it cannot change them mid-burst — load once
-        // and run the same tight loop the serial engine runs.
+        // Manager-driven: the manager is the only writer of maxLocal
+        // and phase/stop, and it cannot change them mid-burst — load
+        // once and run the same tight loop the serial engine runs.
         const Tick pinned_max_local =
             ctl.maxLocal.load(std::memory_order_acquire);
         while (advanced < engine_.burstCycles) {
             Tick max_local = pinned_max_local;
-            if (!inlineLean_) {
+            if (!lean) {
                 max_local =
                     ctl.maxLocal.load(std::memory_order_acquire);
                 if (phase_.load(std::memory_order_relaxed) !=
@@ -240,13 +247,14 @@ ParallelEngine::runCoreBurst(CoreId c)
     }
     ctl.committed.store(cc.committedUops(),
                         std::memory_order_release);
+    ctl.committedAt.store(cc.localTime(), std::memory_order_release);
     if (advanced > 0) {
         obs::traceSpanAt(burst_wall, obs::TraceCategory::Core,
                          "core-run", local, cc.localTime(),
                          static_cast<std::int64_t>(advanced));
     }
-    if (inlineLean_) {
-        // Single-thread run: pump this core's OutQ while its lines
+    if (lean) {
+        // Manager-driven: pump this core's OutQ while its lines
         // are cache-hot, exactly the serial engine's queue-push
         // cadence. A burst that advanced nothing emitted nothing
         // (backpressure excepted: there the queue is *full*), so the
@@ -324,6 +332,13 @@ ParallelEngine::workerThreadMain(std::uint32_t w)
                     phaseRunning &&
                 !stop_.load(std::memory_order_acquire)) {
                 obs::PhaseScope barrier(obs::Phase::Barrier);
+                // Parked while the manager drives our cores: nothing
+                // to wait *for* but the window's end, so the profiler
+                // files it under its own path (beginManagerWindow()
+                // re-wakes us to re-enter the wait under it).
+                std::optional<obs::PhaseScope> window;
+                if (managerDrives_.load(std::memory_order_acquire))
+                    window.emplace(obs::Phase::InlineWindow);
                 resumeEpoch_.wait(e, std::memory_order_acquire);
             }
             continue;
@@ -504,9 +519,12 @@ ParallelEngine::relayThreadMain(std::uint32_t cluster)
                 watermark = std::min(watermark, local);
         }
         }
-        relay.watermark.store(watermark, std::memory_order_release);
+        const Tick published =
+            relay.watermark.exchange(watermark, std::memory_order_acq_rel);
 
-        if (moved) {
+        // A moved watermark alone is news too: the root manager paces
+        // against it and may be asleep on the board.
+        if (moved || published != watermark) {
             board_->bump(sys_.numCores() + cluster);
         } else {
             // Nothing to move: sleep until some core makes progress.
@@ -566,6 +584,7 @@ ParallelEngine::sampleClocks()
 void
 ParallelEngine::updatePacing(bool monotone, const ClockSample &sample)
 {
+    const bool lean = managerDrives_.load(std::memory_order_relaxed);
     for (CoreId c = 0; c < sys_.numCores(); ++c) {
         Tick target =
             pacer_.maxLocalForCore(c, sample.global, localsScratch_);
@@ -574,13 +593,13 @@ ParallelEngine::updatePacing(bool monotone, const ClockSample &sample)
         CoreControl &ctl = *controls_[c];
         const Tick cur = ctl.maxLocal.load(std::memory_order_relaxed);
         if (monotone ? target > cur : target != cur) {
-            // With no worker threads the store has no reader to race
-            // with; seq_cst (needed for the parked-recheck protocol)
-            // would cost a full fence per core per iteration.
-            ctl.maxLocal.store(target, inlineLean_
-                                           ? std::memory_order_relaxed
-                                           : std::memory_order_seq_cst);
-            if (!inlineLean_)
+            // While the manager drives, the store has no reader to
+            // race with (resumeWorld() publishes it to the workers);
+            // seq_cst (needed for the parked-recheck protocol) would
+            // cost a full fence per core per iteration.
+            ctl.maxLocal.store(target, lean ? std::memory_order_relaxed
+                                            : std::memory_order_seq_cst);
+            if (!lean)
                 requestWake(c);
         }
     }
@@ -610,9 +629,63 @@ ParallelEngine::quiescedAtBoundary(Tick boundary) const
     return any_unfinished;
 }
 
-void
-ParallelEngine::pauseWorld()
+std::uint64_t
+ParallelEngine::committedTotal() const
 {
+    std::uint64_t committed = 0;
+    for (const auto &ctl : controls_)
+        committed += ctl->committed.load(std::memory_order_acquire);
+    return committed;
+}
+
+std::uint64_t
+ParallelEngine::committedBound() const
+{
+    // A core commits at most commitWidth uops per target cycle, so the
+    // cycles since its last publication bound what the count misses.
+    const std::uint64_t width = sys_.config().target.core.commitWidth;
+    std::uint64_t bound = 0;
+    for (CoreId c = 0; c < sys_.numCores(); ++c) {
+        const CoreControl &ctl = *controls_[c];
+        const Tick at = ctl.committedAt.load(std::memory_order_acquire);
+        bound += ctl.committed.load(std::memory_order_acquire);
+        if (localsScratch_[c] > at)
+            bound += (localsScratch_[c] - at) * width;
+    }
+    return bound;
+}
+
+bool
+ParallelEngine::atCommittedCut() const
+{
+    for (CoreId c = 0; c < sys_.numCores(); ++c) {
+        const CoreControl &ctl = *controls_[c];
+        const Tick local = localsScratch_[c];
+        if (ctl.committedAt.load(std::memory_order_acquire) != local)
+            return false;
+        if (!ctl.finished.load(std::memory_order_acquire) &&
+            local <= ctl.maxLocal.load(std::memory_order_relaxed))
+            return false;
+    }
+    return true;
+}
+
+void
+ParallelEngine::pauseWorld(WorldHold hold)
+{
+    const std::uint32_t expected =
+        workerCount_ + static_cast<std::uint32_t>(relays_.size());
+    const std::uint8_t held = worldHolds_;
+    worldHolds_ = static_cast<std::uint8_t>(held | hold);
+    if (held != 0) {
+        // Already stopped by another holder: nothing to hand off.
+        SLACKSIM_ASSERT(!(held & hold) &&
+                            ackCount_.load(std::memory_order_acquire) ==
+                                expected,
+                        "nested pauseWorld: hold ", unsigned{hold},
+                        " while holds=", unsigned{held});
+        return;
+    }
     // The manager side of the stop-the-world handshake: request,
     // wake, then wait for every ack.
     obs::PhaseScope barrier(obs::Phase::Barrier);
@@ -624,8 +697,6 @@ ParallelEngine::pauseWorld()
     // pause promptly.
     board_->wakeAll();
     // Wait until every worker thread and relay acknowledged the pause.
-    const std::uint32_t expected =
-        workerCount_ + static_cast<std::uint32_t>(relays_.size());
     std::uint32_t acked = ackCount_.load(std::memory_order_acquire);
     while (acked < expected) {
         ackCount_.wait(acked, std::memory_order_acquire);
@@ -634,12 +705,51 @@ ParallelEngine::pauseWorld()
 }
 
 void
-ParallelEngine::resumeWorld()
+ParallelEngine::resumeWorld(WorldHold hold)
 {
+    SLACKSIM_ASSERT(worldHolds_ & hold, "resumeWorld by non-holder ",
+                    unsigned{hold}, " (holds=", unsigned{worldHolds_},
+                    ")");
+    worldHolds_ = static_cast<std::uint8_t>(worldHolds_ & ~hold);
+    if (worldHolds_ != 0)
+        return; // another holder keeps the world stopped
+    SLACKSIM_ASSERT(workerCount_ == 0 ||
+                        !managerDrives_.load(std::memory_order_relaxed),
+                    "releasing workers while the manager drives them");
     ackCount_.store(0, std::memory_order_seq_cst);
     phase_.store(phaseRunning, std::memory_order_seq_cst);
     resumeEpoch_.fetch_add(1, std::memory_order_seq_cst);
     resumeEpoch_.notify_all();
+}
+
+void
+ParallelEngine::beginManagerWindow(Tick at)
+{
+    SLACKSIM_ASSERT(workerCount_ > 0 && relays_.empty() &&
+                        !managerDrives_.load(std::memory_order_relaxed),
+                    "manager window needs parked workers and no relays");
+    pauseWorld(holdWindow);
+    managerDrives_.store(true, std::memory_order_release);
+    windowStart_ = at;
+    ++host_.inlineWindows;
+    // Kick the parked workers once so they re-enter their wait under
+    // the window's profiler path; the phase stays paused.
+    resumeEpoch_.fetch_add(1, std::memory_order_seq_cst);
+    resumeEpoch_.notify_all();
+}
+
+void
+ParallelEngine::endManagerWindow(Tick at)
+{
+    creditWindowCycles(at);
+    managerDrives_.store(false, std::memory_order_release);
+    resumeWorld(holdWindow);
+}
+
+void
+ParallelEngine::creditWindowCycles(Tick at)
+{
+    host_.inlineCycles += at > windowStart_ ? at - windowStart_ : 0;
 }
 
 void
@@ -651,6 +761,8 @@ ParallelEngine::refreshControlAfterRestore()
                            std::memory_order_release);
         ctl.committed.store(sys_.core(c).committedUops(),
                             std::memory_order_release);
+        ctl.committedAt.store(sys_.core(c).localTime(),
+                              std::memory_order_release);
     }
 }
 
@@ -708,6 +820,8 @@ ParallelEngine::run()
             runner.launch([this, r] { relayThreadMain(r); }));
     host_.hostThreadsUsed = 1 + workerCount_ +
                             static_cast<std::uint32_t>(relays_.size());
+    if (managerDrives_.load(std::memory_order_relaxed))
+        ++host_.inlineWindows; // inline mode: one window, the whole run
 
     // A cancel request may arrive while the manager is parked on the
     // progress board; the waker is a pure futex kick (wakers must not
@@ -725,9 +839,13 @@ ParallelEngine::run()
             cancelled = true;
             break;
         }
-        // The board only matters as a sleep/wake channel; a lean
-        // inline run never sleeps, so skip the two sharded sums.
-        const std::uint64_t p0 = inlineLean_ ? 0 : board_->sum();
+        // Fixed for the iteration: only the rollback and checkpoint
+        // branches below flip it, and both end the iteration.
+        const bool drives =
+            managerDrives_.load(std::memory_order_relaxed);
+        // The board only matters as a sleep/wake channel; a manager-
+        // driven round never sleeps, so skip the two sharded sums.
+        const std::uint64_t p0 = drives ? 0 : board_->sum();
 
         // Read local clocks *before* pumping: every event with a
         // timestamp below the resulting safe time is then guaranteed
@@ -743,20 +861,44 @@ ParallelEngine::run()
         // with zero cross-thread handoff.
         ClockSample clocks;
         std::size_t activity = 0;
-        if (inlineLean_) {
-            // Lean inline runs burst-then-sample, the serial engine's
-            // own cadence: the bursts pump their OutQs synchronously,
-            // so sampling *after* them is just as safe (any future
-            // event from a core is stamped at or above that core's
-            // current clock) — and it paces the next round a full
-            // slack window ahead of where the cores actually are, not
-            // where they were a round ago. One scan per round, like
+        // Cycle-by-cycle budget stop off the manager's own thread:
+        // check it only at a committed cut, and while the budget is
+        // within reach hold pacing until the cut is complete, so no
+        // run skips the cut another one stops at.
+        const bool cut_stop = engine_.maxCommittedUops && !drives &&
+                              !warmup_pending && pacer_.sortedService();
+        bool hold_pacing = false;
+        if (drives) {
+            // Manager-driven rounds run burst-then-sample, the serial
+            // engine's own cadence: the bursts pump their OutQs
+            // synchronously, so sampling *after* them is just as safe
+            // (any future event from a core is stamped at or above that
+            // core's current clock) — and it paces the next round a
+            // full slack window ahead of where the cores actually are,
+            // not where they were a round ago. One scan per round, like
             // the serial engine.
             if (driveInline())
                 ++activity;
             clocks = sampleClocks();
         } else {
             clocks = sampleClocks();
+            if (cut_stop) {
+                const bool cut = atCommittedCut();
+                const bool reachable =
+                    committedBound() >= engine_.maxCommittedUops;
+                hold_pacing = reachable && !cut;
+                if (cut && reachable) {
+                    // Service up to the cut, as the inline and serial
+                    // loops do before their budget check (relays own
+                    // their OutQs and drain after the join instead).
+                    if (relays_.empty()) {
+                        mgr_.pumpAll();
+                        mgr_.serviceSorted(clocks.global);
+                        mgr_.flushOverflow();
+                    }
+                    break;
+                }
+            }
             if (workerCount_ == 0) {
                 // Inline with relays: the relays pump asynchronously,
                 // so the safe time must come from the pre-burst
@@ -792,7 +934,7 @@ ParallelEngine::run()
         } else {
             obs::PhaseScope drain(obs::Phase::Drain);
             const std::uint64_t service_wall = obs::traceWallNs();
-            if (inlineLean_) {
+            if (drives) {
                 // The bursts pumped their own OutQs already; a second
                 // all-core scan would find them empty.
             } else if (relays_.empty()) {
@@ -806,6 +948,10 @@ ParallelEngine::run()
                 }
                 if (safe == maxTick)
                     safe = global; // all cores finished
+                // Pace against what was serviced: a core must not run
+                // past a cycle whose inbound events a lagging relay
+                // has not forwarded yet (CC would lose determinism).
+                clocks.global = std::min(clocks.global, safe);
                 for (const auto &relay : relays_) {
                     activity += relay->queue.consumeAll(
                         [this](const BusMsg &msg) {
@@ -824,9 +970,9 @@ ParallelEngine::run()
             // Mark any core that just received a delivery for the
             // coalesced wake sweep: inert free-running cores sleep
             // until their InQ gets something. updatePacing() below
-            // flushes the sweep. Inline mode has nobody to wake; the
-            // marks still need clearing.
-            if (inlineLean_)
+            // flushes the sweep. A manager-driven round has nobody to
+            // wake; the marks still need clearing.
+            if (drives)
                 mgr_.drainDelivered([](CoreId) {});
             else
                 mgr_.drainDelivered([this](CoreId c) {
@@ -835,7 +981,10 @@ ParallelEngine::run()
         }
         pacer_.observe(global, sys_.violations());
         recovery_.observe(global, sys_.violations());
-        updatePacing(true, clocks);
+        if (hold_pacing)
+            flushWakes(); // deliveries only; pacing waits for the cut
+        else
+            updatePacing(true, clocks);
         session.maybeSample(global);
         if (clocks.minUnfinished != maxTick &&
             clocks.maxUnfinished > clocks.minUnfinished) {
@@ -846,7 +995,7 @@ ParallelEngine::run()
 
         if (ckpt_.enabled()) {
             if (mgr_.rollbackRequested()) {
-                pauseWorld();
+                pauseWorld(holdRollback);
                 const Tick rb_global = computeGlobal();
                 const auto rb = ckpt_.rollback(rb_global);
                 if (rb.status ==
@@ -857,22 +1006,34 @@ ParallelEngine::run()
                     recovery_.noteIntegrityDemotion(rb_global);
                     updatePacing(true);
                     session.collectTrace();
-                    resumeWorld();
+                    resumeWorld(holdRollback);
                     ++activity;
                     continue;
                 }
                 recovery_.noteRollback(rb_global);
                 refreshControlAfterRestore();
                 mgr_.setSorted(true);
+                if (drives) {
+                    // Rewound inside a window: credit what it stepped
+                    // so far and restart it at the restore point.
+                    creditWindowCycles(rb_global);
+                    windowStart_ = rb.resumedAt;
+                } else if (relays_.empty()) {
+                    // The replay is cycle-by-cycle: in lock-step the
+                    // workers can only hand off one cycle at a time,
+                    // so keep them parked and drive it from here.
+                    beginManagerWindow(rb.resumedAt);
+                }
                 updatePacing(false);
                 session.forceSample(rb.resumedAt);
                 session.collectTrace();
-                resumeWorld();
+                resumeWorld(holdRollback);
                 ++activity;
                 continue;
             }
             const Tick boundary = ckpt_.nextCheckpointAt();
-            if (quiescedAtBoundary(boundary) && mgr_.pumpAll() == 0) {
+            if (quiescedAtBoundary(boundary) && !hold_pacing &&
+                mgr_.pumpAll() == 0) {
                 // All unfinished cores are parked exactly at the
                 // boundary and no stragglers remain in the OutQs:
                 // the world is stable, snapshot it directly.
@@ -885,6 +1046,8 @@ ParallelEngine::run()
                     mgr_.setSorted(false);
                     mgr_.flushOverflow();
                 }
+                if (was_replay && (worldHolds_ & holdWindow))
+                    endManagerWindow(boundary);
                 updatePacing(true);
                 session.forceSample(boundary);
                 session.collectTrace();
@@ -894,31 +1057,22 @@ ParallelEngine::run()
         }
 
         if (warmup_pending) {
-            std::uint64_t committed = 0;
-            for (const auto &ctl : controls_)
-                committed +=
-                    ctl->committed.load(std::memory_order_acquire);
-            if (committed >= engine_.warmupUops) {
+            if (committedTotal() >= engine_.warmupUops) {
                 // Stop the world so no core mutates its stats while
                 // the warmup measurements are discarded.
-                pauseWorld();
+                pauseWorld(holdWarmup);
                 sys_.resetSimStats();
                 refreshControlAfterRestore();
-                resumeWorld();
+                resumeWorld(holdWarmup);
                 warmup_pending = false;
                 ++activity;
             }
         }
 
         // Stop conditions.
-        if (engine_.maxCommittedUops && !warmup_pending) {
-            std::uint64_t committed = 0;
-            for (const auto &ctl : controls_)
-                committed +=
-                    ctl->committed.load(std::memory_order_acquire);
-            if (committed >= engine_.maxCommittedUops)
-                break;
-        }
+        if (engine_.maxCommittedUops && !warmup_pending && !cut_stop &&
+            committedTotal() >= engine_.maxCommittedUops)
+            break;
         {
             bool all_finished = true;
             for (const auto &ctl : controls_)
@@ -948,15 +1102,15 @@ ParallelEngine::run()
                            " scheme=", schemeName(engine_.scheme));
         }
 
-        if (activity == 0 && (inlineLean_ || board_->sum() == p0)) {
-            // Inline mode: the manager itself is the only thread that
-            // drives the cores, so sleeping on the board would
-            // deadlock — any relays downstream only forward events
-            // this thread produces. Yield so relay threads get a
-            // chance to advance their watermarks, then re-drive (the
-            // stalled-global watchdog above still catches a true
-            // deadlock).
-            if (workerCount_ == 0) {
+        if (activity == 0 && (drives || board_->sum() == p0)) {
+            // Manager-driven or inline: the manager itself is the only
+            // thread that drives the cores (parked workers never bump
+            // the board), so sleeping on the board would deadlock —
+            // any relays downstream only forward events this thread
+            // produces. Yield so relay threads get a chance to advance
+            // their watermarks, then re-drive (the stalled-global
+            // watchdog above still catches a true deadlock).
+            if (drives || workerCount_ == 0) {
                 std::this_thread::yield();
                 continue;
             }
@@ -1003,6 +1157,8 @@ ParallelEngine::run()
         mgr_.flushOverflow();
     }
 
+    if (managerDrives_.load(std::memory_order_relaxed))
+        creditWindowCycles(sys_.globalTime()); // stopped inside a window
     ckpt_.finalizeHostStats();
     session.finish(computeGlobal());
     watchdog_ = nullptr; // owned by the session; run is over

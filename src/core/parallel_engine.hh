@@ -31,6 +31,15 @@
  * Checkpoints are taken when all unfinished cores quiesce at the
  * boundary (pacing clamps them there); rollbacks use a stop-the-world
  * pause handshake acknowledged once per worker.
+ *
+ * Manager-driven windows: a rollback's cycle-by-cycle replay cannot
+ * overlap anything (every core waits on the slowest one each cycle),
+ * so the world stays stopped through the whole replay window and the
+ * manager drives every core itself on the lean inline loop, releasing
+ * the workers only once the checkpoint that ends the window is taken.
+ * Inline mode is the same state held for the whole run. Relay
+ * topologies keep threaded replay: their relays pump the OutQs
+ * asynchronously.
  */
 
 #ifndef SLACKSIM_CORE_PARALLEL_ENGINE_HH
@@ -79,6 +88,9 @@ class ParallelEngine
         alignas(64) std::atomic<Tick> maxLocal{0};
         alignas(64) std::atomic<bool> finished{false};
         std::atomic<std::uint64_t> committed{0};
+        /** Local clock `committed` was published at (stored after
+         *  it): tells the manager the count is current. */
+        std::atomic<Tick> committedAt{0};
     };
 
     /** Per-worker park/wake block. One wake word per *worker*: a
@@ -145,8 +157,40 @@ class ParallelEngine
     void updatePacing(bool monotone);
     Tick computeGlobal() const;
     bool quiescedAtBoundary(Tick boundary) const;
-    void pauseWorld();
-    void resumeWorld();
+    /**
+     * True when, at the last sampleClocks(), every core's committed
+     * count was published for its clock and no unfinished core could
+     * step (each held past its pacing limit). A cycle-by-cycle budget
+     * check made there sees one global-cycle cut, the same on every
+     * run; anywhere else it races the workers.
+     */
+    bool atCommittedCut() const;
+    /** Sum of the published per-core committed counts. */
+    std::uint64_t committedTotal() const;
+    /** Upper bound on the committed total at the last sampleClocks():
+     *  the published counts plus what the unpublished cycles could
+     *  have committed. Equals committedTotal() at a committed cut. */
+    std::uint64_t committedBound() const;
+
+    /** Who holds the world stopped. Holders nest: the first one in
+     *  runs the pause handshake, the last one out releases the
+     *  workers, and every call in between is a no-op. */
+    enum WorldHold : std::uint8_t
+    {
+        holdRollback = 1 << 0, //!< restoring a checkpoint
+        holdWindow = 1 << 1,   //!< manager-driven replay window
+        holdWarmup = 1 << 2,   //!< discarding warmup statistics
+    };
+    void pauseWorld(WorldHold hold);
+    void resumeWorld(WorldHold hold);
+    /** Enter a manager-driven window starting at global time @p at:
+     *  workers stay parked, the manager steps every core. */
+    void beginManagerWindow(Tick at);
+    /** Leave the window at global time @p at and release the workers
+     *  (inline mode never leaves: the whole run is one window). */
+    void endManagerWindow(Tick at);
+    /** Credit the cycles the open window stepped up to @p at. */
+    void creditWindowCycles(Tick at);
     void refreshControlAfterRestore();
     RunResult collectResult(double wall_seconds) const;
 
@@ -190,11 +234,21 @@ class ParallelEngine
     /** Inline-mode scan start, rotated like the serial engine's so no
      *  core is systematically serviced first. */
     CoreId inlineRotate_ = 0;
-    /** Inline mode with no relays: the manager is the only thread in
-     *  the run, so cross-thread signalling (board bumps, seq_cst
-     *  pacing stores, wake bookkeeping) is pure overhead and skipped
-     *  on the hot path. */
-    bool inlineLean_ = false;
+    /**
+     * The manager drives every core itself while no other thread
+     * touches engine state: for the whole run in inline mode with no
+     * relays, and for each replay window otherwise (workers parked at
+     * the pause barrier). Cross-thread signalling (board bumps,
+     * seq_cst pacing stores, wake bookkeeping) is then pure overhead
+     * and skipped on the hot path. Written by the manager only, and
+     * only while the world is stopped; atomic because parked workers
+     * read it to attribute their wait.
+     */
+    std::atomic<bool> managerDrives_{false};
+    /** Global time the open manager-driven window started at. */
+    Tick windowStart_ = 0;
+    /** Current WorldHold holders (manager-only). */
+    std::uint8_t worldHolds_ = 0;
     std::vector<std::unique_ptr<Relay>> relays_;
     std::vector<Tick> localsScratch_;
     /** Worker handles from the configured TaskRunner: pool threads

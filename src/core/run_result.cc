@@ -78,6 +78,12 @@ RunResult::printSummary(std::ostream &os) const
            << " (wasted=" << host.wastedCycles
            << ", replay=" << host.replayCycles << " cycles)\n";
     }
+    if (host.inlineWindows) {
+        os << "  manager-driven   : " << host.inlineCycles
+           << " cycles in " << host.inlineWindows << " window"
+           << (host.inlineWindows == 1 ? "" : "s") << " (host threads="
+           << host.hostThreadsUsed << ")\n";
+    }
     if (scheme == SchemeKind::Adaptive) {
         os << "  final slack bound: " << finalSlackBound
            << " (adjustments=" << host.slackAdjustments << ")\n";
@@ -171,6 +177,9 @@ RunResult::printJson(std::ostream &os) const
        << host.checkpointSeconds << ",\"rollbacks\":"
        << host.rollbacks << ",\"wastedCycles\":" << host.wastedCycles
        << ",\"replayCycles\":" << host.replayCycles << "},";
+    os << "\"host\":{\"threadsUsed\":" << host.hostThreadsUsed
+       << ",\"inlineCycles\":" << host.inlineCycles
+       << ",\"inlineWindows\":" << host.inlineWindows << "},";
     os << "\"adaptive\":{\"finalBound\":" << finalSlackBound
        << ",\"adjustments\":" << host.slackAdjustments << "},";
     os << "\"degradation\":{\"level\":\"" << jsonEscape(degradationLevel)

@@ -60,6 +60,14 @@ pathLeaf(std::uint64_t key)
     return static_cast<Phase>(leaf - 1);
 }
 
+/** The phase total a path's time counts toward: markers count toward
+ *  the phase they refine. */
+Phase
+totalPhase(Phase leaf)
+{
+    return leaf == Phase::InlineWindow ? Phase::Barrier : leaf;
+}
+
 /** Record @p ticks of exclusive time under @p key in a slot's table. */
 void
 addPath(Profiler::Slot *slot, std::uint64_t key, std::uint64_t ticks)
@@ -155,6 +163,8 @@ phaseName(Phase p)
         return "pacer-epoch";
       case Phase::Sample:
         return "sample";
+      case Phase::InlineWindow:
+        return "inline-window";
     }
     return "unknown";
 }
@@ -321,6 +331,7 @@ Profiler::endSession()
     std::uint64_t phase_ticks[numPhases] = {};
     std::uint64_t phase_count[numPhases] = {};
     std::uint64_t other_ns = 0;
+    std::uint64_t window_ticks = 0;
     for (const auto &slot_ptr : slots_) {
         Slot &slot = *slot_ptr;
         closeSlot(slot, now_ticks);
@@ -348,10 +359,13 @@ Profiler::endSession()
                       return a->key < b->key;
                   });
         for (const PathStat *p : used) {
-            const std::size_t leaf =
-                static_cast<std::size_t>(pathLeaf(p->key));
-            w_phase_ticks[leaf] += p->ticks;
-            w_phase_count[leaf] += p->count;
+            const Phase leaf = pathLeaf(p->key);
+            if (leaf == Phase::InlineWindow)
+                window_ticks += p->ticks;
+            const std::size_t total =
+                static_cast<std::size_t>(totalPhase(leaf));
+            w_phase_ticks[total] += p->ticks;
+            w_phase_count[total] += p->count;
             w.paths.push_back({pathName(p->key), to_ns(p->ticks),
                                p->count});
         }
@@ -378,6 +392,7 @@ Profiler::endSession()
                                       phase_count[i]});
     }
     report.phaseTotals.push_back({"other", other_ns, 0});
+    report.inlineWindowNs = to_ns(window_ticks);
     report.verdict = profileVerdict(report);
     slots_.clear();
     return report;
@@ -386,16 +401,24 @@ Profiler::endSession()
 std::string
 profileVerdict(const ProfileReport &report)
 {
+    // Workers parked through a manager-driven window are not a
+    // bottleneck: the manager does their cores' work meanwhile. Take
+    // that time out of the barrier total before ranking.
+    const char *barrier = phaseName(Phase::Barrier);
+    std::vector<PhaseTotal> totals = report.phaseTotals;
     std::uint64_t total = 0;
-    for (const PhaseTotal &t : report.phaseTotals)
+    for (PhaseTotal &t : totals) {
+        if (t.name == barrier)
+            t.ns -= std::min(t.ns, report.inlineWindowNs);
         total += t.ns;
+    }
     if (total == 0)
         return "no host time attributed";
 
     // Rank by time; "other" competes like any phase so an untracked
     // sink is called out instead of hidden.
     std::vector<const PhaseTotal *> ranked;
-    for (const PhaseTotal &t : report.phaseTotals)
+    for (const PhaseTotal &t : totals)
         ranked.push_back(&t);
     std::sort(ranked.begin(), ranked.end(),
               [](const PhaseTotal *a, const PhaseTotal *b) {
@@ -405,25 +428,34 @@ profileVerdict(const ProfileReport &report)
         return 100.0 * static_cast<double>(ns) /
                static_cast<double>(total);
     };
-    char buf[160];
+    char buf[256];
     const PhaseTotal &top = *ranked[0];
     const PhaseTotal &next = *ranked[1];
+    int len;
     if (top.name == "simulate") {
-        std::snprintf(buf, sizeof(buf),
-                      "simulate-bound: %.1f%% of host time in "
-                      "simulate (next: %s %.1f%%)",
-                      pct(top.ns), next.name.c_str(), pct(next.ns));
+        len = std::snprintf(buf, sizeof(buf),
+                            "simulate-bound: %.1f%% of host time in "
+                            "simulate (next: %s %.1f%%)",
+                            pct(top.ns), next.name.c_str(),
+                            pct(next.ns));
     } else {
-        std::snprintf(buf, sizeof(buf),
-                      "bottleneck: %s %.1f%% of host time "
-                      "(simulate %.1f%%)",
-                      top.name.c_str(), pct(top.ns),
-                      pct([&report] {
-                          for (const PhaseTotal &t : report.phaseTotals)
-                              if (t.name == "simulate")
-                                  return t.ns;
-                          return std::uint64_t{0};
-                      }()));
+        len = std::snprintf(buf, sizeof(buf),
+                            "bottleneck: %s %.1f%% of host time "
+                            "(simulate %.1f%%)",
+                            top.name.c_str(), pct(top.ns),
+                            pct([&totals] {
+                                for (const PhaseTotal &t : totals)
+                                    if (t.name == "simulate")
+                                        return t.ns;
+                                return std::uint64_t{0};
+                            }()));
+    }
+    if (report.inlineWindowNs > 0 && len > 0 &&
+        static_cast<std::size_t>(len) < sizeof(buf)) {
+        std::snprintf(buf + len, sizeof(buf) - len,
+                      "; excludes %.3f s of workers parked through "
+                      "manager-driven windows",
+                      static_cast<double>(report.inlineWindowNs) * 1e-9);
     }
     return buf;
 }

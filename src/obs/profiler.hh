@@ -63,9 +63,15 @@ enum class Phase : std::uint8_t {
     Drain,          //!< manager service block (pump + sorted service)
     PacerEpoch,     //!< adaptive-controller epoch evaluation
     Sample,         //!< metrics sampler snapshot
+    /** Marker, not a phase: a worker parked at the barrier while the
+     *  manager drives its cores. Its time keeps its own stack path
+     *  (`barrier;inline-window`) but counts toward the barrier total,
+     *  and the verdict excludes it. */
+    InlineWindow,
 };
 
-/** Number of real phases (excludes the synthetic "other"). */
+/** Number of real phases (excludes the synthetic "other" and the
+ *  InlineWindow marker). */
 inline constexpr std::size_t numPhases = 10;
 
 /** @return stable lowercase name for a phase. */
@@ -110,6 +116,9 @@ struct ProfileReport
     double tscGhz = 0.0;      //!< measured counter rate
     std::vector<ProfileWorker> workers;
     std::vector<PhaseTotal> phaseTotals; //!< summed across workers
+    /** Worker time parked through manager-driven windows (inside the
+     *  barrier total); the verdict leaves it out. */
+    std::uint64_t inlineWindowNs = 0;
     HwCounterTotals hw;
     std::string verdict; //!< one-line top-bottleneck statement
 
@@ -119,7 +128,8 @@ struct ProfileReport
     std::uint64_t attributedNs() const;
 };
 
-/** Compute the top-bottleneck verdict line from the phase totals. */
+/** Compute the top-bottleneck verdict line from the phase totals,
+ *  excluding (and stating) the report's inlineWindowNs. */
 std::string profileVerdict(const ProfileReport &report);
 
 /** Write the report as a folded-stack file (flamegraph.pl /

@@ -1,6 +1,6 @@
 /**
  * @file
- * Run-report writer (schema slacksim.run_report.v5).
+ * Run-report writer (schema slacksim.run_report.v6).
  */
 
 #include "obs/run_report.hh"
@@ -136,6 +136,10 @@ writeResultSection(JsonWriter &w, const RunResult &r)
     w.field("max_observed_slack", r.host.maxObservedSlack);
     w.field("host_threads_used",
             static_cast<std::uint64_t>(r.host.hostThreadsUsed));
+    // v6: where the cycles ran — target cycles the parallel engine's
+    // manager stepped alone (inline mode, replay windows).
+    w.field("inline_cycles", r.host.inlineCycles);
+    w.field("inline_windows", r.host.inlineWindows);
     w.endObject();
     w.field("final_slack_bound", r.finalSlackBound);
     w.field("intervals",
@@ -261,6 +265,7 @@ writeProfileSection(JsonWriter &w, const ProfileReport &p)
     w.field("wall_ns", p.wallNs);
     w.field("attributed_ns", p.attributedNs());
     w.field("tsc_ghz", p.tscGhz);
+    w.field("inline_window_ns", p.inlineWindowNs);
     writePhaseTotals(w, "phases", p.phaseTotals);
     w.beginArray("workers");
     for (const auto &worker : p.workers) {

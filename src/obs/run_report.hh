@@ -1,7 +1,7 @@
 /**
  * @file
  * The unified machine-readable run report: one versioned JSON
- * document (`slacksim.run_report.v4`) merging the configuration, the
+ * document (`slacksim.run_report.v6`) merging the configuration, the
  * RunResult, the violation-forensics ledger, the adaptive decision
  * log, the degradation-ladder outcome, the fault-injection record and
  * the obs layer's own overhead counters. Emitted by runSimulation()
@@ -29,6 +29,13 @@
  * profiler ran) that lets the fleet merger join this run to the
  * daemon's server_events.jsonl on one wall-epoch timeline; the
  * config.obs subobject gains trace_id / parent_span_id.
+ * v5 -> v6 (additive): `result.host.inline_cycles` and
+ * `result.host.inline_windows` — the target cycles the parallel
+ * engine's manager stepped alone and the spans they came in (the
+ * whole run in inline mode, one span per replay window otherwise;
+ * 0 on the serial engine) — and `profile.inline_window_ns`, the
+ * worker time parked through those windows that the verdict
+ * excludes.
  */
 
 #ifndef SLACKSIM_OBS_RUN_REPORT_HH
@@ -44,7 +51,7 @@ struct RunResult;
 namespace obs {
 
 /** The schema identifier emitted in every report. */
-inline constexpr const char *runReportSchema = "slacksim.run_report.v5";
+inline constexpr const char *runReportSchema = "slacksim.run_report.v6";
 
 /** Write the full run report for @p result under @p config. */
 void writeRunReport(std::ostream &os, const SimConfig &config,

@@ -138,6 +138,11 @@ struct HostStats
     /** Host threads the run actually used (manager + workers +
      *  relays); 1 for the serial engine and parallel inline mode. */
     std::uint32_t hostThreadsUsed = 1;
+    /** Target cycles (global time) the parallel engine's manager
+     *  stepped alone, driving every core itself: the whole run in
+     *  inline mode, each replay window otherwise. */
+    std::uint64_t inlineCycles = 0;
+    std::uint64_t inlineWindows = 0; //!< spans counted in inlineCycles
     Tick maxObservedSlack = 0;          //!< max clock spread seen
 };
 

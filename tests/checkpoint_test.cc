@@ -1,14 +1,23 @@
 /**
  * @file
  * Tests for checkpointing, the per-interval measurements (Tables 3/4
- * machinery), full speculative rollback + cycle-by-cycle replay, and
+ * machinery), full speculative rollback + cycle-by-cycle replay (and
+ * the manager-driven replay windows of the parallel engine), and
  * whole-world snapshot round-trips.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cmath>
+#include <thread>
+
 #include "core/run.hh"
 #include "core/sim_system.hh"
+#include "obs/forensics.hh"
+#include "obs/progress.hh"
+#include "util/cancel.hh"
 #include "workload/kernels.hh"
 
 using namespace slacksim;
@@ -219,6 +228,143 @@ TEST(Speculative, CycleByCycleBaseNeverRollsBack)
     const auto r = runSimulation(config);
     EXPECT_EQ(r.host.rollbacks, 0u);
     EXPECT_EQ(r.violations.total(), 0u);
+}
+
+namespace {
+
+/** Speculative adaptive slack that rolls back on every bus and map
+ *  violation, on the parallel engine at a pinned host-thread count
+ *  (auto could resolve to inline mode on a 1-CPU runner and never
+ *  hand a replay window to the manager). */
+SimConfig
+replayConfig(const std::string &kernel, std::uint32_t host_threads)
+{
+    SimConfig config;
+    config.workload.kernel = kernel;
+    config.workload.numThreads = config.target.numCores;
+    config.workload.bodies = 256;
+    config.workload.timesteps = 1;
+    config.workload.fftPoints = 4096;
+    config.engine.scheme = SchemeKind::Adaptive;
+    config.engine.adaptive.targetViolationRate = 1e-4;
+    config.engine.adaptive.violationBand = 0.05;
+    config.engine.parallelHost = true;
+    config.engine.hostThreads = host_threads;
+    config.engine.maxCommittedUops = 60000;
+    CheckpointParams &ck = config.engine.checkpoint;
+    ck.mode = CheckpointMode::Speculative;
+    ck.interval = 2000;
+    ck.rollbackOnBus = true;
+    ck.rollbackOnMap = true;
+    return config;
+}
+
+/** Serial cycle-by-cycle reference for @p config's workload. */
+RunResult
+serialCc(SimConfig config)
+{
+    config.engine.parallelHost = false;
+    config.engine.hostThreads = 0;
+    config.engine.scheme = SchemeKind::CycleByCycle;
+    config.engine.checkpoint.mode = CheckpointMode::Off;
+    return runSimulation(config);
+}
+
+} // namespace
+
+TEST(ManagerDrivenReplay, ReplayWindowsRunOnTheManager)
+{
+    // Every rollback's cycle-by-cycle replay is stepped by the manager
+    // alone while the workers stay parked, so the cycles it drove are
+    // exactly the replayed ones. Accuracy is checked against serial
+    // CC, not bit-equality: outside a replay window the budget stop of
+    // a threaded slack run is not a global-cycle cut.
+    for (const std::string kernel : {"barnes", "fft"}) {
+        const SimConfig base = replayConfig(kernel, 2);
+        const RunResult cc = serialCc(base);
+        for (const std::uint32_t threads : {2u, 4u}) {
+            SCOPED_TRACE(kernel + " hostThreads=" +
+                         std::to_string(threads));
+            const RunResult r = runSimulation(replayConfig(kernel, threads));
+            EXPECT_EQ(r.host.hostThreadsUsed, threads);
+            EXPECT_GT(r.host.rollbacks, 0u);
+            EXPECT_GT(r.host.replayCycles, 0u);
+            EXPECT_EQ(r.host.inlineCycles, r.host.replayCycles);
+            EXPECT_GE(r.committedUops, base.engine.maxCommittedUops);
+            const double err =
+                std::abs(static_cast<double>(r.execCycles) -
+                         static_cast<double>(cc.execCycles)) /
+                static_cast<double>(cc.execCycles);
+            // Every violation rolls back and replays cycle-by-cycle,
+            // so only the budget stop separates the run from CC.
+            EXPECT_LT(err, 0.005) << r.execCycles << " vs CC "
+                                 << cc.execCycles;
+        }
+    }
+}
+
+TEST(ManagerDrivenReplay, WarmupResetInsideReplayKeepsWorkersParked)
+{
+    // The warmup reset stops the world while replay windows already
+    // hold it: the nested pause/resume must neither hand-shake again
+    // nor release the workers mid-window.
+    SimConfig config = replayConfig("barnes", 4);
+    config.engine.warmupUops = 20000;
+    const RunResult r = runSimulation(config);
+    EXPECT_GT(r.host.rollbacks, 0u);
+    EXPECT_EQ(r.host.inlineCycles, r.host.replayCycles);
+    // The budget counts the uops committed after the reset.
+    EXPECT_GE(r.committedUops, config.engine.maxCommittedUops);
+}
+
+TEST(ManagerDrivenReplay, CancelInsideReplayWindowReturnsPromptly)
+{
+    // The manager never sleeps on the progress board while it drives
+    // a window, so it sees a cancel at its next round. The canceller
+    // fires as soon as the live-progress mailbox reports a replay; a
+    // run that then ended inside the window has a rollback whose
+    // replay episode never closed. Retry the rare miss (the window
+    // ended before the cancel arrived).
+    using clock = std::chrono::steady_clock;
+    bool landed_in_window = false;
+    for (int attempt = 0; attempt < 5 && !landed_in_window; ++attempt) {
+        SimConfig config = replayConfig("barnes", 4);
+        config.engine.maxCommittedUops = 0; // run until cancelled
+        CancelToken cancel;
+        obs::RunProgress progress;
+        config.engine.cancel = &cancel;
+        config.engine.obs.progress = &progress;
+        config.engine.obs.metricsEpoch = 100;
+        std::atomic<bool> done{false};
+        clock::time_point cancelled_at{};
+        std::thread canceller([&] {
+            while (!done.load(std::memory_order_acquire)) {
+                if (progress.replay.load(std::memory_order_relaxed)) {
+                    cancelled_at = clock::now();
+                    cancel.requestCancel();
+                    return;
+                }
+                std::this_thread::yield();
+            }
+        });
+        const RunResult r = runSimulation(config);
+        const clock::time_point returned_at = clock::now();
+        done.store(true, std::memory_order_release);
+        canceller.join();
+        ASSERT_TRUE(r.cancelled) << "run finished before any replay";
+        EXPECT_LT(std::chrono::duration<double>(returned_at -
+                                                cancelled_at)
+                      .count(),
+                  5.0);
+        std::size_t rollbacks = 0, replays = 0;
+        for (const auto &e : r.forensics.decisions.episodes()) {
+            rollbacks += e.kind == obs::EpisodeKind::Rollback;
+            replays += e.kind == obs::EpisodeKind::Replay;
+        }
+        landed_in_window = rollbacks > replays;
+    }
+    EXPECT_TRUE(landed_in_window)
+        << "no cancel landed inside a replay window";
 }
 
 TEST(Checkpointer, ExtraCopyBytesArenaWorks)

@@ -217,6 +217,78 @@ TEST(Profiler, VerdictNamesTheDominantPhase)
     EXPECT_NE(verdict.find("bottleneck"), std::string::npos) << verdict;
 }
 
+TEST(Profiler, InlineWindowKeepsItsOwnPathInsideBarrier)
+{
+    Profiler &prof = Profiler::instance();
+    ASSERT_TRUE(prof.beginSession());
+    prof.registerThread("worker 0");
+
+    {
+        PhaseScope barrier(Phase::Barrier);
+        spin(100000);
+        {
+            PhaseScope window(Phase::InlineWindow);
+            spin(400000);
+        }
+    }
+
+    const ProfileReport report = prof.endSession();
+    ASSERT_EQ(report.workers.size(), 1u);
+    const ProfileWorker &w = report.workers[0];
+
+    // Still exactly the ten phases plus "other": the marker adds a
+    // path, not a phase.
+    EXPECT_EQ(w.phases.size(), numPhases);
+    EXPECT_EQ(report.phaseTotals.size(), numPhases + 1);
+    EXPECT_EQ(findTotal(report.phaseTotals, "inline-window"), nullptr);
+
+    const PhaseTotal *window = findTotal(w.paths, "barrier;inline-window");
+    const PhaseTotal *barrier_path = findTotal(w.paths, "barrier");
+    const PhaseTotal *barrier = findTotal(w.phases, "barrier");
+    ASSERT_NE(window, nullptr) << "window path missing";
+    ASSERT_NE(barrier_path, nullptr);
+    ASSERT_NE(barrier, nullptr);
+    EXPECT_GT(window->ns, 0u);
+    // The barrier total still holds the window's time (to within
+    // the per-value tick-to-ns rounding) ...
+    EXPECT_NEAR(static_cast<double>(barrier->ns),
+                static_cast<double>(barrier_path->ns + window->ns), 2.0);
+    // ... and the report knows how much of it was window.
+    EXPECT_EQ(report.inlineWindowNs, window->ns);
+
+    std::uint64_t attributed = 0;
+    for (const auto &p : w.phases)
+        attributed += p.ns;
+    EXPECT_EQ(attributed + w.otherNs, w.spanNs);
+}
+
+TEST(Profiler, VerdictExcludesWorkersParkedThroughWindows)
+{
+    ProfileReport report;
+    report.enabled = true;
+    report.phaseTotals = {{"simulate", 300, 10},
+                          {"barrier", 1000, 5},
+                          {"wait-for-slack", 150, 5},
+                          {"other", 50, 0}};
+    // Without the window figure, barrier is the headline.
+    std::string verdict = profileVerdict(report);
+    EXPECT_NE(verdict.find("bottleneck: barrier"), std::string::npos)
+        << verdict;
+
+    // 900 ns of that barrier was workers parked while the manager
+    // drove their cores: the verdict ranks without it and says so.
+    report.inlineWindowNs = 900;
+    verdict = profileVerdict(report);
+    EXPECT_EQ(verdict.find("barrier"), std::string::npos) << verdict;
+    EXPECT_NE(verdict.find("simulate-bound"), std::string::npos)
+        << verdict;
+    // simulate's share of the 600 ns that remain.
+    EXPECT_NE(verdict.find("50.0%"), std::string::npos) << verdict;
+    EXPECT_NE(verdict.find("excludes 0.000 s of workers parked"),
+              std::string::npos)
+        << verdict;
+}
+
 TEST(Profiler, FoldedStacksExportShape)
 {
     ProfileReport report;
@@ -322,4 +394,58 @@ TEST(ProfilerEngine, RunAttributesSimulateTime)
 
     // The profiler disarms at end of run: later scopes are inert.
     EXPECT_FALSE(Profiler::instance().active());
+}
+
+TEST(ProfilerEngine, ReplayWindowParksWorkersUnderTheirOwnPath)
+{
+    // Speculative run on pinned worker threads: every rollback's
+    // replay is driven by the manager while the workers sit at the
+    // pause barrier. That wait lands on barrier;inline-window, the
+    // phase totals still reconstruct each worker's span, and the
+    // verdict states what it excluded instead of blaming the barrier.
+    setQuietLogging(true);
+    SimConfig config;
+    config.workload.kernel = "falseshare";
+    config.workload.numThreads = config.target.numCores;
+    config.workload.iters = 2000;
+    config.workload.footprintBytes = 64 * 1024;
+    config.engine.scheme = SchemeKind::Adaptive;
+    config.engine.adaptive.initialBound = 64;
+    config.engine.adaptive.targetViolationRate = 0.05;
+    config.engine.checkpoint.mode = CheckpointMode::Speculative;
+    config.engine.checkpoint.interval = 2000;
+    config.engine.parallelHost = true;
+    config.engine.hostThreads = 3;
+    config.engine.obs.profile = true;
+
+    const RunResult r = runSimulation(config);
+    ASSERT_GT(r.host.rollbacks, 0u);
+    ASSERT_GT(r.host.inlineWindows, 0u);
+    const ProfileReport &profile = r.forensics.profile;
+    ASSERT_TRUE(profile.enabled);
+
+    std::uint64_t window_ns = 0;
+    for (const auto &w : profile.workers) {
+        if (w.role.rfind("worker ", 0) == 0) {
+            if (const PhaseTotal *p =
+                    findTotal(w.paths, "barrier;inline-window"))
+                window_ns += p->ns;
+        }
+        EXPECT_EQ(findTotal(w.paths, "inline-window"), nullptr)
+            << w.role << ": the marker only ever nests in barrier";
+        std::uint64_t attributed = 0;
+        for (const auto &p : w.phases)
+            attributed += p.ns;
+        if (w.otherNs == 0)
+            EXPECT_GE(attributed, w.spanNs) << w.role;
+        else
+            EXPECT_EQ(attributed + w.otherNs, w.spanNs) << w.role;
+    }
+    EXPECT_GT(window_ns, 0u) << "workers never parked through a window";
+    // Per-worker and summed tick-to-ns conversions round separately.
+    EXPECT_NEAR(static_cast<double>(profile.inlineWindowNs),
+                static_cast<double>(window_ns),
+                static_cast<double>(profile.workers.size()));
+    EXPECT_NE(profile.verdict.find("excludes"), std::string::npos)
+        << profile.verdict;
 }

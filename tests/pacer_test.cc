@@ -211,6 +211,20 @@ TEST(LaxP2P, SlowestCoreCanAlwaysRun)
     }
 }
 
+TEST(LaxP2P, FinishedPeerCannotStallTheSlowestCore)
+{
+    // Cores 1-3 finished with their clocks frozen below the only
+    // unfinished core (global = its clock). Pacing core 0 against a
+    // frozen peer would stop it forever, and global time would never
+    // reach the next re-pairing.
+    HostStats host;
+    EngineConfig e = engineFor(SchemeKind::LaxP2P);
+    e.slackBound = 5;
+    Pacer p(e, 4, &host);
+    const std::vector<Tick> locals = {100, 40, 50, 60};
+    EXPECT_GE(p.maxLocalForCore(0, 100, locals), 100u);
+}
+
 TEST(LaxP2P, ReshufflesPeriodically)
 {
     HostStats host;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Validates the slacksim.run_report.v5 document end to end: every
+ * Validates the slacksim.run_report.v6 document end to end: every
  * section and key the schema promises, exact agreement between the
  * forensics attribution tables and the run's violation counters, a
  * replayable adaptive decision chain, and the observe example's
@@ -58,7 +58,7 @@ runAndParse(SimConfig config, const std::string &name,
     return jsonlite::parse(ss.str());
 }
 
-/** The keys every v4 report must carry, section by section. */
+/** The keys every v6 report must carry, section by section. */
 void
 expectSchemaComplete(const jsonlite::Value &doc)
 {
@@ -119,7 +119,8 @@ expectSchemaComplete(const jsonlite::Value &doc)
          {"checkpoints", "checkpoint_bytes", "checkpoint_seconds",
           "checkpoint_async_seconds", "rollbacks", "wasted_cycles",
           "replay_cycles", "slack_adjustments", "manager_wakeups",
-          "max_observed_slack", "host_threads_used"}) {
+          "max_observed_slack", "host_threads_used", "inline_cycles",
+          "inline_windows"}) {
         EXPECT_TRUE(result.at("host").has(key)) << "result.host." << key;
     }
 
@@ -167,8 +168,8 @@ expectSchemaComplete(const jsonlite::Value &doc)
     // carries enabled=false and empty arrays.
     const auto &profile = doc.at("profile");
     for (const char *key :
-         {"enabled", "wall_ns", "attributed_ns", "tsc_ghz", "phases",
-          "workers", "hw", "verdict"}) {
+         {"enabled", "wall_ns", "attributed_ns", "tsc_ghz",
+          "inline_window_ns", "phases", "workers", "hw", "verdict"}) {
         EXPECT_TRUE(profile.has(key)) << "profile." << key;
     }
     for (const char *key :
@@ -301,6 +302,53 @@ TEST(RunReport, SpeculativeRollbacksKeepLedgerExact)
               doc.at("result").at("host").at("checkpoints").asUint());
     EXPECT_EQ(rollbacks,
               doc.at("result").at("host").at("rollbacks").asUint());
+}
+
+TEST(RunReport, HostSectionSaysWhereTheCyclesRan)
+{
+    // v6: inline_cycles / inline_windows. Threaded speculative runs
+    // hand every replay window to the manager, so the two cycle
+    // counts agree; inline mode is one window covering the run; the
+    // serial engine has no manager-driven windows at all.
+    SimConfig spec = smallConfig(SchemeKind::Adaptive, true);
+    spec.engine.adaptive.targetViolationRate = 1e-5;
+    spec.engine.adaptive.epochCycles = 500;
+    spec.engine.checkpoint.mode = CheckpointMode::Speculative;
+    spec.engine.checkpoint.interval = 2000;
+    spec.engine.hostThreads = 4; // pinned: auto may resolve inline
+    spec.engine.obs.profile = true;
+
+    const auto doc = runAndParse(spec, "report_inline_spec.json");
+    expectSchemaComplete(doc);
+    const auto &host = doc.at("result").at("host");
+    ASSERT_GT(host.at("rollbacks").asUint(), 0u);
+    EXPECT_EQ(host.at("host_threads_used").asUint(), 4u);
+    EXPECT_GT(host.at("replay_cycles").asUint(), 0u);
+    EXPECT_EQ(host.at("inline_cycles").asUint(),
+              host.at("replay_cycles").asUint());
+    EXPECT_EQ(host.at("inline_windows").asUint(),
+              host.at("rollbacks").asUint());
+    EXPECT_GT(doc.at("profile").at("inline_window_ns").asUint(), 0u);
+
+    SimConfig inline_cfg = smallConfig(SchemeKind::Adaptive, true);
+    inline_cfg.engine.hostThreads = 1;
+    RunResult r;
+    const auto inline_doc =
+        runAndParse(inline_cfg, "report_inline_whole.json", &r);
+    const auto &ihost = inline_doc.at("result").at("host");
+    EXPECT_EQ(ihost.at("inline_windows").asUint(), 1u);
+    EXPECT_EQ(ihost.at("inline_cycles").asUint(), r.globalCycles);
+    EXPECT_EQ(inline_doc.at("profile").at("inline_window_ns").asUint(),
+              0u);
+
+    const auto serial_doc = runAndParse(
+        smallConfig(SchemeKind::Adaptive, false), "report_inline_ser.json");
+    EXPECT_EQ(serial_doc.at("result").at("host").at("inline_cycles")
+                  .asUint(),
+              0u);
+    EXPECT_EQ(serial_doc.at("result").at("host").at("inline_windows")
+                  .asUint(),
+              0u);
 }
 
 TEST(RunReport, FaultInjectionAndDegradationAttributed)
