@@ -100,6 +100,7 @@ void
 L1Cache::touchLru(Line &line)
 {
     line.lruStamp = ++lruClock_;
+    mruLine_ = static_cast<std::size_t>(&line - lines_.data());
 }
 
 L1Cache::Line &

@@ -12,6 +12,7 @@
 #ifndef SLACKSIM_CACHE_L1_CACHE_HH
 #define SLACKSIM_CACHE_L1_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -111,6 +112,17 @@ class L1Cache : public Snapshotable
     /** Hit latency configured for this cache. */
     Tick hitLatency() const { return params_.hitLatency; }
 
+    /** @return the LRU clock: it advances once per line touch. */
+    std::uint32_t lruClock() const { return lruClock_; }
+
+    /**
+     * Touch the most recently touched line again, exactly as a
+     * repeated hit on it would (the core's inert-cycle memo replays
+     * its fetch probe with this). Valid once any line was touched
+     * since construction or restore().
+     */
+    void retouchMru() { touchLru(lines_[mruLine_]); }
+
     /**
      * Invariant check used by tests: at most `ways` valid lines per
      * set, no duplicate tags within a set. Panics on violation.
@@ -156,6 +168,8 @@ class L1Cache : public Snapshotable
     std::vector<Line> lines_;  //!< sets * ways entries, set-major
     std::vector<Mshr> mshrs_;
     std::uint32_t lruClock_ = 0;
+    /** Index of the last touched line (derived; not serialized). */
+    std::size_t mruLine_ = 0;
     SeqNum nextSeq_ = 0;       //!< per-cache message sequence numbers
 };
 

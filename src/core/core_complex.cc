@@ -37,35 +37,59 @@ CoreComplex::cycle(Tick max_local, std::uint32_t skip_budget)
         return CycleOutcome::Backpressure;
 
     const Tick now = localTime_.load(std::memory_order_relaxed);
-
-    // Apply inbound messages that have become visible at this local
-    // time. The head may carry a future timestamp; it then waits
-    // (later entries wait behind it — a slack-induced distortion the
-    // simulation tolerates by design).
-    std::uint32_t applied = 0;
-    while (applied < inboundPerCycle) {
-        const BusMsg *head = inQ_.front();
-        if (!head || head->ts > now)
-            break;
-        core_.handleInbound(*head, now, scratch_);
-        inQ_.popFront();
-        ++applied;
-    }
-
-    const bool progressed = core_.cycle(now, scratch_) || applied > 0;
-
-    if (!scratch_.empty()) {
-        for (BusMsg &msg : scratch_) {
-            msg.src = id_;
-            msg.ts = now;
-            msg.seq = nextSeq_++;
+    const BusMsg *head = inQ_.front();
+    bool progressed = false;
+    if (memoValid_ && (!head || head->ts > now) &&
+        core_.earliestSelfWake() > now) {
+        // Nothing the previous pipeline cycle saw has changed: it
+        // would repeat exactly, so replay what it wrote.
+        stats_.add(memoDelta_);
+        if (memoFetchHit_)
+            l1i_.retouchMru();
+        ++inertCycles_;
+    } else {
+        // Apply inbound messages that have become visible at this
+        // local time. The head may carry a future timestamp; it then
+        // waits (later entries wait behind it — a slack-induced
+        // distortion the simulation tolerates by design).
+        std::uint32_t applied = 0;
+        while (applied < inboundPerCycle && head && head->ts <= now) {
+            core_.handleInbound(*head, now, scratch_);
+            inQ_.popFront();
+            ++applied;
+            head = inQ_.front();
         }
-        // One batched publication for the whole cycle's messages.
-        const std::size_t pushed =
-            outQ_.pushN(scratch_.data(), scratch_.size());
-        SLACKSIM_ASSERT(pushed == scratch_.size(),
-                        "OutQ overflow despite headroom check");
-        scratch_.clear();
+
+        const CoreStats stats0 = stats_;
+        const std::uint32_t l1i_clock0 = l1i_.lruClock();
+        const std::uint32_t l1d_clock0 = l1d_.lruClock();
+        memoValid_ = !core_.cycle(now, scratch_);
+        progressed = !memoValid_ || applied > 0;
+        if (memoValid_) {
+            // An inert cycle changes no pipeline state; it only bumps
+            // stall/hit counters and re-stamps the line its fetch
+            // probe hit (the L1D is touched only by progress).
+            memoDelta_ = stats_;
+            memoDelta_.subtract(stats0);
+            memoFetchHit_ = l1i_.lruClock() != l1i_clock0;
+            SLACKSIM_ASSERT(l1i_.lruClock() - l1i_clock0 <= 1 &&
+                                l1d_.lruClock() == l1d_clock0,
+                            "inert cycle touched the L1s");
+        }
+
+        if (!scratch_.empty()) {
+            for (BusMsg &msg : scratch_) {
+                msg.src = id_;
+                msg.ts = now;
+                msg.seq = nextSeq_++;
+            }
+            // One batched publication for the whole cycle's messages.
+            const std::size_t pushed =
+                outQ_.pushN(scratch_.data(), scratch_.size());
+            SLACKSIM_ASSERT(pushed == scratch_.size(),
+                            "OutQ overflow despite headroom check");
+            scratch_.clear();
+        }
     }
 
     Tick next = now + 1;
@@ -74,8 +98,8 @@ CoreComplex::cycle(Tick max_local, std::uint32_t skip_budget)
         // earliest of (a) an already-scheduled internal completion,
         // (b) the InQ head becoming applicable, (c) the pacing limit.
         Tick target = core_.earliestSelfWake();
-        if (const BusMsg *head = inQ_.front())
-            target = std::min(target, head->ts);
+        if (const BusMsg *first = inQ_.front())
+            target = std::min(target, first->ts);
         if (target == maxTick) {
             // Only a future delivery can wake the core. With pacing
             // headroom we bulk-skip the stall cycles up to the limit;
@@ -128,6 +152,7 @@ CoreComplex::restore(SnapshotReader &reader)
     nextSeq_ = reader.get<SeqNum>();
     localTime_.store(reader.get<Tick>(), std::memory_order_release);
     scratch_.clear();
+    memoValid_ = false;
 }
 
 } // namespace slacksim

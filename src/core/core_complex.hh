@@ -60,6 +60,17 @@ class CoreComplex : public Snapshotable
      * never passes max_local + 1, an InQ entry's timestamp, or an
      * internal completion time.
      *
+     * Where the skip cannot jump (under CC the limit is global time,
+     * so an inert core still advances one cycle per call), the cycle
+     * is stepped in O(1) instead: when the previous call's pipeline
+     * made no progress, no InQ entry is applicable and no timer
+     * completion is due, the pipeline would repeat that cycle
+     * exactly, so its memo — the CoreStats it added and the L1I
+     * fetch-line re-stamp — is replayed without running OooCore.
+     * Every other call runs the full pipeline and records a new memo.
+     * The memo is derived state: never serialized, cleared by
+     * restore(). See DESIGN.md, "Inert-cycle memo".
+     *
      * @param skip_budget upper bound on how many cycles one call may
      * advance. Engines pass their burst budget so an inert core moves
      * at the same host-visible pace as a busy one; otherwise a core
@@ -95,6 +106,13 @@ class CoreComplex : public Snapshotable
     /** @return committed micro-ops so far (core-thread side). */
     std::uint64_t committedUops() const { return core_.committedUops(); }
 
+    /**
+     * @return cycles this core stepped from its inert-cycle memo.
+     * Host-side work counter: kept out of snapshots and stats resets,
+     * so a rollback does not erase what the host did.
+     */
+    std::uint64_t inertCycles() const { return inertCycles_; }
+
     /** Zero this core's statistics (warmup discard). */
     void resetStats() { stats_ = CoreStats{}; }
 
@@ -120,6 +138,13 @@ class CoreComplex : public Snapshotable
     std::vector<BusMsg> scratch_;
     SeqNum nextSeq_ = 0;
     std::atomic<Tick> localTime_{0};
+
+    /** The previous pipeline cycle made no progress: replaying it is
+     *  exact until an inbound message or a timer completion is due. */
+    bool memoValid_ = false;
+    bool memoFetchHit_ = false; //!< that cycle re-stamped its L1I line
+    CoreStats memoDelta_;       //!< what that cycle added to stats_
+    std::uint64_t inertCycles_ = 0;
 };
 
 } // namespace slacksim

@@ -86,8 +86,15 @@ class ManagerLogic : public Snapshotable
      */
     std::size_t serviceSorted(Tick safe_time);
 
-    /** Retry overflowed InQ deliveries. */
-    void flushOverflow();
+    /** Retry overflowed InQ deliveries. O(1) when none is parked,
+     *  which is nearly always: the engines call this after every
+     *  pump. */
+    void
+    flushOverflow()
+    {
+        if (overflowCount_ != 0)
+            flushParked();
+    }
 
     /**
      * Invoke @p fn(CoreId) for every core that received an InQ
@@ -183,6 +190,7 @@ class ManagerLogic : public Snapshotable
     void serviceOne(const BusMsg &msg);
     void deliver(const Outbound &o);
     void markDelivered(CoreId c);
+    void flushParked();
 
     SimSystem &sys_;
     EngineConfig engine_;
@@ -205,6 +213,8 @@ class ManagerLogic : public Snapshotable
 
     CoreBitset delivered_;
     std::vector<std::deque<BusMsg>> overflow_;
+    /** Messages parked in overflow_ (flushOverflow() is O(1) at 0). */
+    std::size_t overflowCount_ = 0;
     std::vector<Outbound> outboundScratch_;
 
     bool rollbackArmed_ = false;

@@ -1188,6 +1188,8 @@ ParallelEngine::collectResult(double wall_seconds) const
     r.violations = sys_.violations();
     r.host = host_;
     r.host.wallSeconds = wall_seconds;
+    for (CoreId c = 0; c < sys_.numCores(); ++c)
+        r.host.inertCycles += sys_.core(c).inertCycles();
     r.intervals = mgr_.intervals();
     r.finalSlackBound = pacer_.currentBound();
     r.degradationLevel = recovery_.levelName();

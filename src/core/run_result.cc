@@ -84,6 +84,10 @@ RunResult::printSummary(std::ostream &os) const
            << (host.inlineWindows == 1 ? "" : "s") << " (host threads="
            << host.hostThreadsUsed << ")\n";
     }
+    if (host.inertCycles) {
+        os << "  inert cycles     : " << host.inertCycles
+           << " (stepped from the memo)\n";
+    }
     if (scheme == SchemeKind::Adaptive) {
         os << "  final slack bound: " << finalSlackBound
            << " (adjustments=" << host.slackAdjustments << ")\n";
@@ -179,7 +183,8 @@ RunResult::printJson(std::ostream &os) const
        << ",\"replayCycles\":" << host.replayCycles << "},";
     os << "\"host\":{\"threadsUsed\":" << host.hostThreadsUsed
        << ",\"inlineCycles\":" << host.inlineCycles
-       << ",\"inlineWindows\":" << host.inlineWindows << "},";
+       << ",\"inlineWindows\":" << host.inlineWindows
+       << ",\"inertCycles\":" << host.inertCycles << "},";
     os << "\"adaptive\":{\"finalBound\":" << finalSlackBound
        << ",\"adjustments\":" << host.slackAdjustments << "},";
     os << "\"degradation\":{\"level\":\"" << jsonEscape(degradationLevel)

@@ -20,7 +20,7 @@ obsOptionSpecs()
         {"obs-epoch", "CYCLES",
          "metrics sampling period (default: adaptive epoch)"},
         {"report-out", "FILE",
-         "write the unified slacksim.run_report.v6 JSON"},
+         "write the unified slacksim.run_report.v7 JSON"},
         {"watchdog-ms", "MS",
          "stall watchdog threshold in wall ms (0 = off)"},
         {"profile", "",

@@ -1,6 +1,6 @@
 /**
  * @file
- * Run-report writer (schema slacksim.run_report.v6).
+ * Run-report writer (schema slacksim.run_report.v7).
  */
 
 #include "obs/run_report.hh"
@@ -140,6 +140,8 @@ writeResultSection(JsonWriter &w, const RunResult &r)
     // manager stepped alone (inline mode, replay windows).
     w.field("inline_cycles", r.host.inlineCycles);
     w.field("inline_windows", r.host.inlineWindows);
+    // v7: core-cycles stepped from the inert-cycle memo.
+    w.field("inert_cycles", r.host.inertCycles);
     w.endObject();
     w.field("final_slack_bound", r.finalSlackBound);
     w.field("intervals",

@@ -1,7 +1,7 @@
 /**
  * @file
  * The unified machine-readable run report: one versioned JSON
- * document (`slacksim.run_report.v6`) merging the configuration, the
+ * document (`slacksim.run_report.v7`) merging the configuration, the
  * RunResult, the violation-forensics ledger, the adaptive decision
  * log, the degradation-ladder outcome, the fault-injection record and
  * the obs layer's own overhead counters. Emitted by runSimulation()
@@ -36,6 +36,9 @@
  * 0 on the serial engine) — and `profile.inline_window_ns`, the
  * worker time parked through those windows that the verdict
  * excludes.
+ * v6 -> v7 (additive): `result.host.inert_cycles` — core-cycles
+ * stepped from the inert-cycle memo instead of the pipeline, summed
+ * over cores (host work: a rollback does not take it back).
  */
 
 #ifndef SLACKSIM_OBS_RUN_REPORT_HH
@@ -51,7 +54,7 @@ struct RunResult;
 namespace obs {
 
 /** The schema identifier emitted in every report. */
-inline constexpr const char *runReportSchema = "slacksim.run_report.v6";
+inline constexpr const char *runReportSchema = "slacksim.run_report.v7";
 
 /** Write the full run report for @p result under @p config. */
 void writeRunReport(std::ostream &os, const SimConfig &config,

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <thread>
 
+#include <poll.h>
 #include <sys/mman.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -161,6 +162,31 @@ drainPipe(int fd)
     return out;
 }
 
+/**
+ * Wait up to @p timeout_ms for the child to write to the status pipe
+ * and append what arrived to @p out. @return true at EOF: every
+ * holder of the write end has exited (or is exiting).
+ */
+bool
+readStatus(int fd, int timeout_ms, std::string *out)
+{
+    struct pollfd pfd = {fd, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, timeout_ms);
+    if (ready < 0 && errno != EINTR) {
+        // Cannot happen for one owned pipe; keep the tick anyway.
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(timeout_ms));
+    }
+    if (ready <= 0)
+        return false;
+    char buf[512];
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n < 0)
+        return errno != EINTR && errno != EAGAIN;
+    out->append(buf, static_cast<std::size_t>(n));
+    return n == 0;
+}
+
 /** Parse the final status line into @p result; false when the child
  *  exited 0 without reporting (treated as Failed upstream). */
 bool
@@ -295,12 +321,21 @@ runIsolatedJob(const SimConfig &config, const IsolationLimits &limits,
         result.spawnMs = msSince(t0);
     }
 
+    // Block in poll() on the status pipe rather than sleeping: the
+    // status line and the child's exit (EOF) wake the supervisor at
+    // once. The 20 ms timeout keeps ticking the progress relay, the
+    // cancel escalation, and children whose pipe stays open because
+    // fork-checkpoint descendants inherit it. After EOF the child is
+    // exiting, so a blocking waitpid() reaps it without a tick.
+    std::string status_text;
+    bool status_eof = false;
     bool cancel_sent = false;
     bool we_killed = false;
     std::chrono::steady_clock::time_point kill_deadline;
     int wait_status = 0;
     while (true) {
-        const pid_t reaped = ::waitpid(pid, &wait_status, WNOHANG);
+        const pid_t reaped =
+            ::waitpid(pid, &wait_status, status_eof ? 0 : WNOHANG);
         if (reaped == pid)
             break;
         if (reaped < 0 && errno != EINTR) {
@@ -331,11 +366,13 @@ runIsolatedJob(const SimConfig &config, const IsolationLimits &limits,
                               limits.killGraceMs);
             }
         }
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        if (!status_eof)
+            status_eof = readStatus(status_fd, 20, &status_text);
     }
     relayProgress(shared, progress);
 
-    const std::string status_text = drainPipe(status_fd);
+    if (!status_eof)
+        status_text += drainPipe(status_fd);
     ::close(status_fd);
     ::close(control_fd);
     if (page != MAP_FAILED)

@@ -43,29 +43,45 @@ struct CoreStats
     std::uint64_t snoopInvalidations = 0;
     std::uint64_t snoopDowngrades = 0;
 
+    /** Apply @p fn(mine, theirs) to every counter, in field order. */
+    template <typename Fn>
+    void
+    zipWith(const CoreStats &o, Fn &&fn)
+    {
+        fn(committedInstrs, o.committedInstrs);
+        fn(committedLoads, o.committedLoads);
+        fn(committedStores, o.committedStores);
+        fn(committedSyncOps, o.committedSyncOps);
+        fn(fetchStallCycles, o.fetchStallCycles);
+        fn(robFullCycles, o.robFullCycles);
+        fn(sbFullCycles, o.sbFullCycles);
+        fn(syncStallCycles, o.syncStallCycles);
+        fn(idleCycles, o.idleCycles);
+        fn(l1dHits, o.l1dHits);
+        fn(l1dMisses, o.l1dMisses);
+        fn(l1dMshrMerges, o.l1dMshrMerges);
+        fn(l1dMshrFullEvents, o.l1dMshrFullEvents);
+        fn(l1dWritebacks, o.l1dWritebacks);
+        fn(l1dUpgrades, o.l1dUpgrades);
+        fn(l1iHits, o.l1iHits);
+        fn(l1iMisses, o.l1iMisses);
+        fn(snoopInvalidations, o.snoopInvalidations);
+        fn(snoopDowngrades, o.snoopDowngrades);
+    }
+
     /** Fold another record into this one. */
     void
     add(const CoreStats &o)
     {
-        committedInstrs += o.committedInstrs;
-        committedLoads += o.committedLoads;
-        committedStores += o.committedStores;
-        committedSyncOps += o.committedSyncOps;
-        fetchStallCycles += o.fetchStallCycles;
-        robFullCycles += o.robFullCycles;
-        sbFullCycles += o.sbFullCycles;
-        syncStallCycles += o.syncStallCycles;
-        idleCycles += o.idleCycles;
-        l1dHits += o.l1dHits;
-        l1dMisses += o.l1dMisses;
-        l1dMshrMerges += o.l1dMshrMerges;
-        l1dMshrFullEvents += o.l1dMshrFullEvents;
-        l1dWritebacks += o.l1dWritebacks;
-        l1dUpgrades += o.l1dUpgrades;
-        l1iHits += o.l1iHits;
-        l1iMisses += o.l1iMisses;
-        snoopInvalidations += o.snoopInvalidations;
-        snoopDowngrades += o.snoopDowngrades;
+        zipWith(o, [](std::uint64_t &a, std::uint64_t b) { a += b; });
+    }
+
+    /** Remove an earlier reading: `after.subtract(before)` leaves the
+     *  counts added in between. */
+    void
+    subtract(const CoreStats &o)
+    {
+        zipWith(o, [](std::uint64_t &a, std::uint64_t b) { a -= b; });
     }
 };
 
@@ -143,6 +159,9 @@ struct HostStats
      *  inline mode, each replay window otherwise. */
     std::uint64_t inlineCycles = 0;
     std::uint64_t inlineWindows = 0; //!< spans counted in inlineCycles
+    /** Core-cycles stepped from the inert-cycle memo (CoreComplex)
+     *  instead of the pipeline, summed over cores. */
+    std::uint64_t inertCycles = 0;
     Tick maxObservedSlack = 0;          //!< max clock spread seen
 };
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Validates the slacksim.run_report.v6 document end to end: every
+ * Validates the slacksim.run_report.v7 document end to end: every
  * section and key the schema promises, exact agreement between the
  * forensics attribution tables and the run's violation counters, a
  * replayable adaptive decision chain, and the observe example's
@@ -120,7 +120,7 @@ expectSchemaComplete(const jsonlite::Value &doc)
           "checkpoint_async_seconds", "rollbacks", "wasted_cycles",
           "replay_cycles", "slack_adjustments", "manager_wakeups",
           "max_observed_slack", "host_threads_used", "inline_cycles",
-          "inline_windows"}) {
+          "inline_windows", "inert_cycles"}) {
         EXPECT_TRUE(result.at("host").has(key)) << "result.host." << key;
     }
 
@@ -329,6 +329,8 @@ TEST(RunReport, HostSectionSaysWhereTheCyclesRan)
     EXPECT_EQ(host.at("inline_windows").asUint(),
               host.at("rollbacks").asUint());
     EXPECT_GT(doc.at("profile").at("inline_window_ns").asUint(), 0u);
+    // v7: the CC replay windows step stalled cores from the memo.
+    EXPECT_GT(host.at("inert_cycles").asUint(), 0u);
 
     SimConfig inline_cfg = smallConfig(SchemeKind::Adaptive, true);
     inline_cfg.engine.hostThreads = 1;
@@ -349,6 +351,17 @@ TEST(RunReport, HostSectionSaysWhereTheCyclesRan)
     EXPECT_EQ(serial_doc.at("result").at("host").at("inline_windows")
                   .asUint(),
               0u);
+
+    // A CC run cannot idle-skip, so most stall cycles take the memo.
+    RunResult cc;
+    const auto cc_doc = runAndParse(
+        smallConfig(SchemeKind::CycleByCycle, false),
+        "report_inert_cc.json", &cc);
+    const std::uint64_t inert =
+        cc_doc.at("result").at("host").at("inert_cycles").asUint();
+    EXPECT_GT(inert, 0u);
+    EXPECT_EQ(inert, cc.host.inertCycles);
+    EXPECT_LT(inert, cc.execCycles * cc.perCore.size());
 }
 
 TEST(RunReport, FaultInjectionAndDegradationAttributed)

@@ -172,7 +172,7 @@ TEST(ServeE2ETest, EightMixedJobsUnderBudgetAllComplete)
         ASSERT_FALSE(report.empty()) << "job " << id;
         const json::Value doc = json::parse(report);
         EXPECT_EQ(doc.at("schema").asString(),
-                  "slacksim.run_report.v6");
+                  "slacksim.run_report.v7");
         EXPECT_EQ(doc.at("status").asString(), "ok");
     }
 }
