@@ -41,8 +41,10 @@ struct L1Waiter
         Frontend,      //!< instruction fetch restart
     };
     Kind kind = Kind::LoadRob;
+    std::uint8_t pad = 0; //!< explicit padding (snapshotted raw)
     std::uint16_t index = 0;
 };
+static_assert(sizeof(L1Waiter) == 4);
 
 /** Configuration for one L1 cache instance. */
 struct L1Params
@@ -133,13 +135,18 @@ class L1Cache : public Snapshotable
     void restore(SnapshotReader &reader) override;
 
   private:
+    // Snapshots copy Line and Mshr raw: their padding is spelled out
+    // as always-zero members so equal state is equal bytes.
+
     /** One tag-array entry. */
     struct Line
     {
         Addr tag = 0;             //!< full line address
         MesiState state = MesiState::Invalid;
+        std::uint8_t pad[3] = {};
         std::uint32_t lruStamp = 0;
     };
+    static_assert(sizeof(Line) == 16);
 
     /** One miss-status holding register. */
     struct Mshr
@@ -148,8 +155,11 @@ class L1Cache : public Snapshotable
         bool valid = false;
         MsgType request = MsgType::GetS;
         std::uint8_t numWaiters = 0;
+        std::uint8_t pad0 = 0;
         L1Waiter waiters[14];
+        std::uint32_t pad1 = 0;
     };
+    static_assert(sizeof(Mshr) == 72);
 
     std::uint32_t setIndex(Addr line_addr) const;
     Line *findLine(Addr line_addr);

@@ -201,27 +201,6 @@ struct EngineConfig
      */
     std::uint32_t hostThreads = 0;
 
-    /**
-     * Manager service banks: the manager's staging runs and the
-     * global cache map are split into this many per-address-range
-     * banks (ROADMAP item 2's sharded-manager groundwork). Service
-     * order stays the exact global (ts, src, seq) order — the k-way
-     * tournament runs per bank with a top-level selection over bank
-     * heads — so CC results are bit-identical for every bank count.
-     * 0 or 1 = single bank (the classic layout).
-     */
-    std::uint32_t managerBanks = 0;
-
-    /**
-     * Hierarchical manager (paper Section 2: "if the manager thread
-     * becomes a bottleneck, then it should be organized
-     * hierarchically"). 0 = flat (the paper's evaluated setup);
-     * N > 0 adds N relay threads, each consolidating a cluster of
-     * core OutQs toward the root manager. Parallel host only, and
-     * (currently) incompatible with checkpointing.
-     */
-    std::uint32_t managerClusters = 0;
-
     /** Queue capacity of each OutQ/InQ. */
     std::uint32_t queueCapacity = 4096;
 

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
@@ -53,27 +52,11 @@ ParallelEngine::ParallelEngine(SimSystem &sys)
       pacer_(engine_, sys.numCores(), &host_),
       mgr_(sys, engine_, &host_),
       ckpt_(sys, pacer_, mgr_, engine_, &host_),
-      wakePending_(sys.numCores())
+      wakePending_(sys.numCores()),
+      board_(sys.numCores())
 {
     for (CoreId c = 0; c < sys_.numCores(); ++c)
         controls_.push_back(std::make_unique<CoreControl>());
-    if (engine_.managerClusters > 0) {
-        const std::uint32_t clusters = engine_.managerClusters;
-        const CoreId per =
-            (sys_.numCores() + clusters - 1) / clusters;
-        for (std::uint32_t r = 0; r < clusters; ++r) {
-            auto relay = std::make_unique<Relay>(
-                engine_.queueCapacity * 4);
-            relay->first = static_cast<CoreId>(r * per);
-            relay->last = static_cast<CoreId>(
-                std::min<std::uint64_t>(sys_.numCores(),
-                                        std::uint64_t{r + 1} * per));
-            if (relay->first < relay->last)
-                relays_.push_back(std::move(relay));
-        }
-    }
-    board_ = std::make_unique<ProgressBoard>(
-        sys_.numCores() + static_cast<std::uint32_t>(relays_.size()));
 
     // Worker topology. EngineConfig::hostThreads counts the manager,
     // so W = hostThreads - 1 workers share the simulated cores; the
@@ -107,8 +90,7 @@ ParallelEngine::ParallelEngine(SimSystem &sys)
     workerWoken_.assign(workerCount_, 0);
     lastRun_.assign(sys_.numCores(),
                     static_cast<std::uint8_t>(CoreRun::Progress));
-    managerDrives_.store(workerCount_ == 0 && relays_.empty(),
-                         std::memory_order_relaxed);
+    managerDrives_.store(workerCount_ == 0, std::memory_order_relaxed);
 }
 
 void
@@ -176,7 +158,7 @@ ParallelEngine::runCoreBurst(CoreId c)
                 // entirely (the serial engine rescans every round).
                 mgr_.pumpCore(c);
             } else {
-                board_->bump(c);
+                board_.bump(c);
             }
             if (watchdog_)
                 watchdog_->note(c, "finished", cc.localTime());
@@ -265,7 +247,7 @@ ParallelEngine::runCoreBurst(CoreId c)
             mgr_.pumpCore(c);
         }
     } else if (advanced > 0 || backpressured || wait_inbound) {
-        board_->bump(c);
+        board_.bump(c);
     }
 
     if (advanced > 0)
@@ -316,7 +298,13 @@ ParallelEngine::workerThreadMain(std::uint32_t w)
         if (phase_.load(std::memory_order_acquire) != phaseRunning) {
             // Stop-the-world pause: acknowledge exactly once per
             // pause generation (atomic waits may wake spuriously),
-            // then sleep until resumed.
+            // then sleep until resumed. The epoch is read first and
+            // the generation re-read after the phase: a resume plus
+            // the next pause can land between these loads, and a
+            // worker that slept on the post-resume epoch without
+            // acking the new pause would deadlock the handshake.
+            const std::uint32_t e =
+                resumeEpoch_.load(std::memory_order_acquire);
             const std::uint32_t gen =
                 pauseGen_.load(std::memory_order_acquire);
             if (gen != acked_gen) {
@@ -326,11 +314,10 @@ ParallelEngine::workerThreadMain(std::uint32_t w)
                 if (watchdog_)
                     watchdog_->note(wc.first, "pause-ack", 0);
             }
-            const std::uint32_t e =
-                resumeEpoch_.load(std::memory_order_acquire);
             if (phase_.load(std::memory_order_acquire) !=
                     phaseRunning &&
-                !stop_.load(std::memory_order_acquire)) {
+                !stop_.load(std::memory_order_acquire) &&
+                pauseGen_.load(std::memory_order_acquire) == acked_gen) {
                 obs::PhaseScope barrier(obs::Phase::Barrier);
                 // Parked while the manager drives our cores: nothing
                 // to wait *for* but the window's end, so the profiler
@@ -440,126 +427,6 @@ ParallelEngine::workerThreadMain(std::uint32_t w)
     obs::Profiler::instance().unregisterThread();
     obs::Tracer::instance().unregisterThread();
     clearLogThreadContext();
-}
-
-void
-ParallelEngine::relayThreadMain(std::uint32_t cluster)
-{
-    Relay &relay = *relays_[cluster];
-    std::uint32_t acked_gen = 0;
-    ScopedRunToken token_scope(sys_.runToken());
-    fault::ScopedFaultPlan plan_scope(sys_.faultPlan());
-    const std::string role = "relay " + std::to_string(cluster);
-    setLogThreadContext(role);
-    obs::Tracer::instance().registerThread(role);
-    obs::Profiler::instance().registerThread(role);
-    while (!stop_.load(std::memory_order_acquire)) {
-        if (phase_.load(std::memory_order_acquire) != phaseRunning) {
-            const std::uint32_t gen =
-                pauseGen_.load(std::memory_order_acquire);
-            if (gen != acked_gen) {
-                acked_gen = gen;
-                ackCount_.fetch_add(1, std::memory_order_seq_cst);
-                ackCount_.notify_one();
-                if (watchdog_) {
-                    watchdog_->note(sys_.numCores() + cluster,
-                                    "pause-ack", 0);
-                }
-            }
-            const std::uint32_t e =
-                resumeEpoch_.load(std::memory_order_acquire);
-            if (phase_.load(std::memory_order_acquire) !=
-                    phaseRunning &&
-                !stop_.load(std::memory_order_acquire)) {
-                obs::PhaseScope barrier(obs::Phase::Barrier);
-                resumeEpoch_.wait(e, std::memory_order_acquire);
-            }
-            continue;
-        }
-
-        const std::uint64_t p0 = board_->sum();
-        bool moved = false;
-        Tick watermark = maxTick;
-        {
-        obs::PhaseScope pump(obs::Phase::QueuePush);
-        BusMsg buf[64];
-        for (CoreId c = relay.first; c < relay.last; ++c) {
-            // Read the clock *before* pumping: every event this core
-            // produced up to that clock is then guaranteed to be in
-            // the relay queue once the pump completes — the basis of
-            // the root manager's sorted-service safe time.
-            const Tick local = sys_.core(c).localTime();
-            auto &outQ = sys_.core(c).outQ();
-            for (;;) {
-                const std::size_t n =
-                    outQ.popN(buf, std::size(buf));
-                if (n == 0)
-                    break;
-                moved = true;
-                std::size_t pushed = 0;
-                while (pushed < n) {
-                    pushed += relay.queue.pushN(buf + pushed,
-                                                n - pushed);
-                    if (pushed < n) {
-                        // Root manager backpressure: let it drain.
-                        std::this_thread::yield();
-                        if (stop_.load(std::memory_order_acquire)) {
-                            // Park the popped-but-unpushed tail for
-                            // the post-join drain so no event is lost.
-                            relay.carry.insert(relay.carry.end(),
-                                               buf + pushed, buf + n);
-                            return;
-                        }
-                    }
-                }
-                if (n < std::size(buf))
-                    break;
-            }
-            if (!controls_[c]->finished.load(std::memory_order_acquire))
-                watermark = std::min(watermark, local);
-        }
-        }
-        const Tick published =
-            relay.watermark.exchange(watermark, std::memory_order_acq_rel);
-
-        // A moved watermark alone is news too: the root manager paces
-        // against it and may be asleep on the board.
-        if (moved || published != watermark) {
-            board_->bump(sys_.numCores() + cluster);
-        } else {
-            // Nothing to move: sleep until some core makes progress.
-            // The note keeps an idle-but-live relay off the stall
-            // watchdog's radar (its watermark may legitimately stop
-            // moving once its whole cluster finished).
-            if (watchdog_) {
-                watchdog_->note(sys_.numCores() + cluster,
-                                "relay-idle", watermark);
-            }
-            obs::PhaseScope wait(obs::Phase::WaitInbound);
-            board_->sleep(p0, [this] {
-                return phase_.load(std::memory_order_acquire) ==
-                           phaseRunning &&
-                       !stop_.load(std::memory_order_acquire);
-            });
-        }
-    }
-    obs::Profiler::instance().unregisterThread();
-    obs::Tracer::instance().unregisterThread();
-    clearLogThreadContext();
-}
-
-Tick
-ParallelEngine::computeGlobal() const
-{
-    Tick min_unfinished = maxTick;
-    Tick max_any = 0;
-    for (CoreId c = 0; c < sys_.numCores(); ++c) {
-        const Tick t = sys_.core(c).localTime();
-        max_any = std::max(max_any, t);
-        if (!controls_[c]->finished.load(std::memory_order_acquire))
-            min_unfinished = std::min(min_unfinished, t);
-    }
-    return min_unfinished == maxTick ? max_any : min_unfinished;
 }
 
 ParallelEngine::ClockSample
@@ -673,15 +540,13 @@ ParallelEngine::atCommittedCut() const
 void
 ParallelEngine::pauseWorld(WorldHold hold)
 {
-    const std::uint32_t expected =
-        workerCount_ + static_cast<std::uint32_t>(relays_.size());
     const std::uint8_t held = worldHolds_;
     worldHolds_ = static_cast<std::uint8_t>(held | hold);
     if (held != 0) {
         // Already stopped by another holder: nothing to hand off.
         SLACKSIM_ASSERT(!(held & hold) &&
                             ackCount_.load(std::memory_order_acquire) ==
-                                expected,
+                                workerCount_,
                         "nested pauseWorld: hold ", unsigned{hold},
                         " while holds=", unsigned{held});
         return;
@@ -693,12 +558,9 @@ ParallelEngine::pauseWorld(WorldHold hold)
     phase_.store(phasePaused, std::memory_order_seq_cst);
     for (std::uint32_t w = 0; w < workerCount_; ++w)
         wakeWorkerNow(w);
-    // Wake any relay sleeping on the progress board so it sees the
-    // pause promptly.
-    board_->wakeAll();
-    // Wait until every worker thread and relay acknowledged the pause.
+    // Wait until every worker thread acknowledged the pause.
     std::uint32_t acked = ackCount_.load(std::memory_order_acquire);
-    while (acked < expected) {
+    while (acked < workerCount_) {
         ackCount_.wait(acked, std::memory_order_acquire);
         acked = ackCount_.load(std::memory_order_acquire);
     }
@@ -725,9 +587,9 @@ ParallelEngine::resumeWorld(WorldHold hold)
 void
 ParallelEngine::beginManagerWindow(Tick at)
 {
-    SLACKSIM_ASSERT(workerCount_ > 0 && relays_.empty() &&
+    SLACKSIM_ASSERT(workerCount_ > 0 &&
                         !managerDrives_.load(std::memory_order_relaxed),
-                    "manager window needs parked workers and no relays");
+                    "manager window needs parked workers");
     pauseWorld(holdWindow);
     managerDrives_.store(true, std::memory_order_release);
     windowStart_ = at;
@@ -777,16 +639,11 @@ ParallelEngine::run()
     recovery_.setDecisionLog(session.decisionLog());
     if (obs::StallWatchdog *wd = session.watchdog()) {
         // Registration order fixes the worker indices the hot-path
-        // note() calls use: cores first, then relays, manager last.
+        // note() calls use: cores first, manager last.
         for (CoreId c = 0; c < sys_.numCores(); ++c) {
             wd->addWorker("core " + std::to_string(c),
                           &sys_.core(c).localClock(),
                           &controls_[c]->finished,
-                          /*stall_eligible=*/true);
-        }
-        for (std::uint32_t r = 0; r < relays_.size(); ++r) {
-            wd->addWorker("relay " + std::to_string(r),
-                          &relays_[r]->watermark, nullptr,
                           /*stall_eligible=*/true);
         }
         // The manager blocks legitimately (all cores finished, uop
@@ -794,9 +651,9 @@ ParallelEngine::run()
         wd->addWorker("manager", nullptr, nullptr,
                       /*stall_eligible=*/false);
         wd->setProgressProbe([this] {
-            return "progress-sum=" + std::to_string(board_->sum()) +
+            return "progress-sum=" + std::to_string(board_.sum()) +
                    " generation=" +
-                   std::to_string(board_->generation());
+                   std::to_string(board_.generation());
         });
         wd->start();
         watchdog_ = wd;
@@ -815,11 +672,7 @@ ParallelEngine::run()
     for (std::uint32_t w = 0; w < workerCount_; ++w)
         threads_.push_back(
             runner.launch([this, w] { workerThreadMain(w); }));
-    for (std::uint32_t r = 0; r < relays_.size(); ++r)
-        relayThreads_.push_back(
-            runner.launch([this, r] { relayThreadMain(r); }));
-    host_.hostThreadsUsed = 1 + workerCount_ +
-                            static_cast<std::uint32_t>(relays_.size());
+    host_.hostThreadsUsed = 1 + workerCount_;
     if (managerDrives_.load(std::memory_order_relaxed))
         ++host_.inlineWindows; // inline mode: one window, the whole run
 
@@ -827,7 +680,7 @@ ParallelEngine::run()
     // progress board; the waker is a pure futex kick (wakers must not
     // block — they run under the token's registry lock).
     ScopedWaker cancel_waker(engine_.cancel,
-                             [this] { board_->wakeAll(); });
+                             [this] { board_.wakeAll(); });
     bool cancelled = false;
 
     double last_progress_wall = 0.0;
@@ -845,20 +698,14 @@ ParallelEngine::run()
             managerDrives_.load(std::memory_order_relaxed);
         // The board only matters as a sleep/wake channel; a manager-
         // driven round never sleeps, so skip the two sharded sums.
-        const std::uint64_t p0 = drives ? 0 : board_->sum();
+        const std::uint64_t p0 = drives ? 0 : board_.sum();
 
         // Read local clocks *before* pumping: every event with a
         // timestamp below the resulting safe time is then guaranteed
         // to already be in its OutQ, which makes sorted service
-        // deterministic and identical to the serial reference. With
-        // a hierarchical manager the relays publish the equivalent
-        // per-cluster watermark. One scan serves the safe time, the
-        // pacing targets, and the slack-spread stat below.
-        //
-        // Inline mode drives the core bursts *after* this sample, so
-        // every event a burst emits carries a timestamp at or above
-        // its core's sampled clock — the same safe-time invariant,
-        // with zero cross-thread handoff.
+        // deterministic and identical to the serial reference. One
+        // scan serves the safe time, the pacing targets, and the
+        // slack-spread stat below.
         ClockSample clocks;
         std::size_t activity = 0;
         // Cycle-by-cycle budget stop off the manager's own thread:
@@ -889,26 +736,15 @@ ParallelEngine::run()
                 hold_pacing = reachable && !cut;
                 if (cut && reachable) {
                     // Service up to the cut, as the inline and serial
-                    // loops do before their budget check (relays own
-                    // their OutQs and drain after the join instead).
-                    if (relays_.empty()) {
-                        mgr_.pumpAll();
-                        mgr_.serviceSorted(clocks.global);
-                        mgr_.flushOverflow();
-                    }
+                    // loops do before their budget check.
+                    mgr_.pumpAll();
+                    mgr_.serviceSorted(clocks.global);
+                    mgr_.flushOverflow();
                     break;
                 }
             }
-            if (workerCount_ == 0) {
-                // Inline with relays: the relays pump asynchronously,
-                // so the safe time must come from the pre-burst
-                // sample, same as the threaded topologies.
-                if (driveInline())
-                    ++activity;
-            }
         }
         const Tick global = clocks.global;
-        Tick safe = global;
         if (auto *plan = fault::FaultPlan::active()) {
             // Serve-site faults before backpressure: job-crash never
             // returns, job-hang wedges the manager right here.
@@ -934,37 +770,16 @@ ParallelEngine::run()
         } else {
             obs::PhaseScope drain(obs::Phase::Drain);
             const std::uint64_t service_wall = obs::traceWallNs();
-            if (drives) {
-                // The bursts pumped their own OutQs already; a second
-                // all-core scan would find them empty.
-            } else if (relays_.empty()) {
+            // Manager-driven bursts pumped their own OutQs already; a
+            // second all-core scan would find them empty.
+            if (!drives)
                 activity += mgr_.pumpAll();
-            } else {
-                safe = maxTick;
-                for (const auto &relay : relays_) {
-                    safe = std::min(
-                        safe, relay->watermark.load(
-                                  std::memory_order_acquire));
-                }
-                if (safe == maxTick)
-                    safe = global; // all cores finished
-                // Pace against what was serviced: a core must not run
-                // past a cycle whose inbound events a lagging relay
-                // has not forwarded yet (CC would lose determinism).
-                clocks.global = std::min(clocks.global, safe);
-                for (const auto &relay : relays_) {
-                    activity += relay->queue.consumeAll(
-                        [this](const BusMsg &msg) {
-                            mgr_.ingest(msg);
-                        });
-                }
-            }
-            activity += mgr_.serviceSorted(safe);
+            activity += mgr_.serviceSorted(global);
             mgr_.flushOverflow();
             if (activity > 0) {
                 obs::traceSpanAt(service_wall,
                                  obs::TraceCategory::Manager,
-                                 "manager-service", global, safe,
+                                 "manager-service", global, global,
                                  static_cast<std::int64_t>(activity));
             }
             // Mark any core that just received a delivery for the
@@ -996,7 +811,7 @@ ParallelEngine::run()
         if (ckpt_.enabled()) {
             if (mgr_.rollbackRequested()) {
                 pauseWorld(holdRollback);
-                const Tick rb_global = computeGlobal();
+                const Tick rb_global = sampleClocks().global;
                 const auto rb = ckpt_.rollback(rb_global);
                 if (rb.status ==
                     Checkpointer::RollbackResult::Status::Demoted) {
@@ -1018,7 +833,7 @@ ParallelEngine::run()
                     // so far and restart it at the restore point.
                     creditWindowCycles(rb_global);
                     windowStart_ = rb.resumedAt;
-                } else if (relays_.empty()) {
+                } else {
                     // The replay is cycle-by-cycle: in lock-step the
                     // workers can only hand off one cycle at a time,
                     // so keep them parked and drive it from here.
@@ -1079,14 +894,9 @@ ParallelEngine::run()
                 all_finished &=
                     ctl->finished.load(std::memory_order_acquire);
             if (all_finished) {
-                // With relays active the OutQs belong to the relay
-                // threads; the post-join drain below collects any
-                // stragglers instead.
-                if (relays_.empty()) {
-                    mgr_.pumpAll();
-                    mgr_.serviceSorted(maxTick);
-                    mgr_.flushOverflow();
-                }
+                mgr_.pumpAll();
+                mgr_.serviceSorted(maxTick);
+                mgr_.flushOverflow();
                 break;
             }
         }
@@ -1102,15 +912,13 @@ ParallelEngine::run()
                            " scheme=", schemeName(engine_.scheme));
         }
 
-        if (activity == 0 && (drives || board_->sum() == p0)) {
+        if (activity == 0 && (drives || board_.sum() == p0)) {
             // Manager-driven or inline: the manager itself is the only
             // thread that drives the cores (parked workers never bump
-            // the board), so sleeping on the board would deadlock —
-            // any relays downstream only forward events this thread
-            // produces. Yield so relay threads get a chance to advance
-            // their watermarks, then re-drive (the stalled-global
-            // watchdog above still catches a true deadlock).
-            if (drives || workerCount_ == 0) {
+            // the board), so sleeping on the board would deadlock.
+            // Yield, then re-drive (the stalled-global watchdog above
+            // still catches a true deadlock).
+            if (drives) {
                 std::this_thread::yield();
                 continue;
             }
@@ -1118,49 +926,29 @@ ParallelEngine::run()
             // The eligibility re-check (after sleeper registration)
             // closes the race with a cancel that fired its wakeAll
             // kick before we parked.
-            board_->sleep(p0, [this] {
+            board_.sleep(p0, [this] {
                 return !engine_.cancel || !engine_.cancel->cancelled();
             });
             ++host_.managerWakeups;
         }
     }
 
-    // Shut the worker and relay threads down.
+    // Shut the worker threads down.
     stop_.store(true, std::memory_order_seq_cst);
     resumeEpoch_.fetch_add(1, std::memory_order_seq_cst);
     resumeEpoch_.notify_all();
-    board_->wakeAll();
     for (std::uint32_t w = 0; w < workerCount_; ++w)
         wakeWorkerNow(w);
     for (auto &t : threads_)
         t->join();
     threads_.clear();
-    for (auto &t : relayThreads_)
-        t->join();
-    relayThreads_.clear();
     for (const auto &wc : workers_)
         host_.coreParkEvents += wc->parks;
-    // Drain any events still in transit (relay queues, popped-but-
-    // unpushed carry tails, and OutQs the relays had not pumped when
-    // they stopped) so final statistics match the flat manager's.
-    // Queue before carry before OutQ preserves per-source FIFO order.
-    if (!relays_.empty()) {
-        for (const auto &relay : relays_) {
-            relay->queue.consumeAll(
-                [this](const BusMsg &msg) { mgr_.ingest(msg); });
-            for (const BusMsg &msg : relay->carry)
-                mgr_.ingest(msg);
-            relay->carry.clear();
-        }
-        mgr_.pumpAll();
-        mgr_.serviceSorted(maxTick);
-        mgr_.flushOverflow();
-    }
 
     if (managerDrives_.load(std::memory_order_relaxed))
         creditWindowCycles(sys_.globalTime()); // stopped inside a window
     ckpt_.finalizeHostStats();
-    session.finish(computeGlobal());
+    session.finish(sampleClocks().global);
     watchdog_ = nullptr; // owned by the session; run is over
     clearLogThreadContext();
     RunResult r = collectResult(secondsSince(t0));

@@ -37,9 +37,11 @@
  * so the world stays stopped through the whole replay window and the
  * manager drives every core itself on the lean inline loop, releasing
  * the workers only once the checkpoint that ends the window is taken.
- * Inline mode is the same state held for the whole run. Relay
- * topologies keep threaded replay: their relays pump the OutQs
- * asynchronously.
+ * Inline mode is the same state held for the whole run.
+ *
+ * The manager is flat: one thread services every OutQ. The paper's
+ * hierarchical manager was measured and never paid (EXPERIMENTS.md,
+ * "Hierarchical manager and address banks").
  */
 
 #ifndef SLACKSIM_CORE_PARALLEL_ENGINE_HH
@@ -59,7 +61,6 @@
 #include "fault/recovery_policy.hh"
 #include "util/core_bitset.hh"
 #include "util/progress_board.hh"
-#include "util/spsc_queue.hh"
 #include "util/task_runner.hh"
 
 namespace slacksim {
@@ -127,7 +128,6 @@ class ParallelEngine
     };
 
     void workerThreadMain(std::uint32_t w);
-    void relayThreadMain(std::uint32_t cluster);
     /** Run one burst for core @p c (worker threads and inline mode
      *  share this path). Updates the core's control block, progress
      *  board and trace spans. */
@@ -145,8 +145,8 @@ class ParallelEngine
     /**
      * Scan every core clock exactly once: fills localsScratch_ and
      * returns the global time plus the unfinished min/max (slack
-     * spread). Replaces the separate computeGlobal / pacing / spread
-     * rescans the manager loop used to do per iteration.
+     * spread). One scan serves the safe time, the pacing targets and
+     * the slack-spread stat.
      */
     ClockSample sampleClocks();
     /** Publish new pacing limits from an existing clock sample and
@@ -155,7 +155,6 @@ class ParallelEngine
     /** Publish new pacing limits from a fresh scan; @p monotone false
      *  only while the cores are paused (rollback). */
     void updatePacing(bool monotone);
-    Tick computeGlobal() const;
     bool quiescedAtBoundary(Tick boundary) const;
     /**
      * True when, at the last sampleClocks(), every core's committed
@@ -203,23 +202,6 @@ class ParallelEngine
     fault::RecoveryPolicy recovery_{engine_, pacer_, mgr_, ckpt_};
     std::uint64_t backpressureRounds_ = 0; //!< injected service skips
 
-    /** Hierarchical-manager relay: consolidates one cluster's OutQs
-     *  toward the root manager (paper Section 2's scaling note). */
-    struct Relay
-    {
-        explicit Relay(std::uint32_t capacity)
-            : queue(capacity)
-        {
-        }
-        SpscQueue<BusMsg> queue;
-        alignas(64) std::atomic<Tick> watermark{0};
-        CoreId first = 0;
-        CoreId last = 0; //!< exclusive
-        /** Events popped from an OutQ but not yet pushed when the
-         *  relay was stopped; drained post-join by the manager. */
-        std::vector<BusMsg> carry;
-    };
-
     std::vector<std::unique_ptr<CoreControl>> controls_;
     std::vector<std::unique_ptr<WorkerControl>> workers_;
     std::uint32_t workerCount_ = 0; //!< 0 = inline mode
@@ -236,9 +218,9 @@ class ParallelEngine
     CoreId inlineRotate_ = 0;
     /**
      * The manager drives every core itself while no other thread
-     * touches engine state: for the whole run in inline mode with no
-     * relays, and for each replay window otherwise (workers parked at
-     * the pause barrier). Cross-thread signalling (board bumps,
+     * touches engine state: for the whole run in inline mode, and for
+     * each replay window otherwise (workers parked at the pause
+     * barrier). Cross-thread signalling (board bumps,
      * seq_cst pacing stores, wake bookkeeping) is then pure overhead
      * and skipped on the hot path. Written by the manager only, and
      * only while the world is stopped; atomic because parked workers
@@ -249,12 +231,10 @@ class ParallelEngine
     Tick windowStart_ = 0;
     /** Current WorldHold holders (manager-only). */
     std::uint8_t worldHolds_ = 0;
-    std::vector<std::unique_ptr<Relay>> relays_;
     std::vector<Tick> localsScratch_;
     /** Worker handles from the configured TaskRunner: pool threads
      *  under the job server, plain spawned threads otherwise. */
     std::vector<std::unique_ptr<TaskRunner::Handle>> threads_;
-    std::vector<std::unique_ptr<TaskRunner::Handle>> relayThreads_;
     /** Used when EngineConfig::runner is null (single-run tools). */
     ThreadSpawnRunner fallbackRunner_;
 
@@ -262,14 +242,13 @@ class ParallelEngine
     std::atomic<std::uint32_t> pauseGen_{0};
     std::atomic<std::uint32_t> resumeEpoch_{0};
     std::atomic<std::uint32_t> ackCount_{0};
-    /** Sharded progress: slot c per core, slot numCores+r per relay.
-     *  Constructed once the relay count is known. */
-    std::unique_ptr<ProgressBoard> board_;
+    /** Sharded progress: one slot per core. */
+    ProgressBoard board_;
     std::atomic<bool> stop_{false};
 
     /** Stall watchdog for this run, or nullptr (--watchdog-ms=0).
      *  Owned by the ObsSession; set for the duration of run().
-     *  Worker indices: core c -> c, relay r -> numCores + r. */
+     *  Worker indices: core c -> c. */
     obs::StallWatchdog *watchdog_ = nullptr;
 };
 

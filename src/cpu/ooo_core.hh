@@ -105,7 +105,8 @@ class OooCore : public Snapshotable
         Alu, Load, Store, Lock, Unlock, Barrier,
     };
 
-    /** One reorder-buffer slot. */
+    /** One reorder-buffer slot (snapshotted raw: padding spelled
+     *  out, always zero). */
     struct RobEntry
     {
         Addr addr = 0;
@@ -117,7 +118,9 @@ class OooCore : public Snapshotable
         std::uint8_t done = 0;
         std::uint8_t waitingFill = 0;
         std::uint16_t sync = 0;
+        std::uint16_t pad = 0;
     };
+    static_assert(sizeof(RobEntry) == 40);
 
     /** One store-buffer slot. */
     struct SbEntry

@@ -12,7 +12,7 @@
  *
  * Thread registration (cold path, mutex-guarded) binds the calling
  * thread to a fresh ring and a role label ("core 3", "manager",
- * "relay 0") used by the Chrome-trace exporter as the track name.
+ * "worker 0") used by the Chrome-trace exporter as the track name.
  * Sessions are epoch-numbered so a record emitted by a thread that
  * never re-registered after a previous run cannot touch a stale ring.
  */

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "util/snapshot.hh"
 #include "util/types.hh"
@@ -37,30 +36,13 @@ struct MapEntry
 };
 
 /**
- * The global cache status map, split into per-address-range banks
- * (EngineConfig::managerBanks). Banking changes the physical layout
- * only: lookups route by line range, while save() serializes all
- * banks in one globally sorted address order, so identical logical
- * states produce identical snapshot bytes for every bank count.
+ * The global cache status map. save() serializes the entries in
+ * sorted address order, so identical logical states produce
+ * identical snapshot bytes however the hash map was built.
  */
 class GlobalCacheMap : public Snapshotable
 {
   public:
-    explicit GlobalCacheMap(std::uint32_t banks = 1)
-        : banks_(banks < 1 ? 1 : banks), map_(banks_)
-    {
-    }
-
-    /** @return the number of address-range banks. */
-    std::uint32_t banks() const { return banks_; }
-
-    /** @return the bank of @p line (same hash as the service banks). */
-    std::uint32_t
-    bankOf(Addr line) const
-    {
-        return static_cast<std::uint32_t>((line >> 6) % banks_);
-    }
-
     /** @return the entry for @p line, creating it when absent. */
     MapEntry &entry(Addr line);
 
@@ -70,15 +52,8 @@ class GlobalCacheMap : public Snapshotable
     /** Drop an entry that became empty. */
     void eraseIfEmpty(Addr line);
 
-    /** @return number of tracked lines (all banks). */
-    std::size_t
-    size() const
-    {
-        std::size_t n = 0;
-        for (const auto &bank : map_)
-            n += bank.size();
-        return n;
-    }
+    /** @return number of tracked lines. */
+    std::size_t size() const { return map_.size(); }
 
     /**
      * Record a transition for violation detection: returns true when
@@ -108,9 +83,7 @@ class GlobalCacheMap : public Snapshotable
     void restore(SnapshotReader &reader) override;
 
   private:
-    std::uint32_t banks_ = 1;
-    /** One hash map per address-range bank. */
-    std::vector<std::unordered_map<Addr, MapEntry>> map_;
+    std::unordered_map<Addr, MapEntry> map_;
 };
 
 } // namespace slacksim

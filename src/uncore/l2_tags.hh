@@ -81,13 +81,16 @@ class L2Tags : public Snapshotable
     void restore(SnapshotReader &reader) override;
 
   private:
+    /** Snapshotted raw: padding spelled out, always zero. */
     struct Line
     {
         Addr tag = 0;
         std::uint8_t valid = 0;
         std::uint8_t dirty = 0;
+        std::uint8_t pad[2] = {};
         std::uint32_t lruStamp = 0;
     };
+    static_assert(sizeof(Line) == 16);
 
     std::uint32_t setIndex(Addr line) const;
     Line *find(Addr line);

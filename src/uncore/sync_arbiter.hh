@@ -63,11 +63,15 @@ class SyncArbiter : public Snapshotable
     void restore(SnapshotReader &reader) override;
 
   private:
+    // Waiter and BarrierState are snapshotted raw: padding spelled
+    // out, always zero.
     struct Waiter
     {
         CoreId core = invalidCore;
+        std::uint32_t pad = 0;
         Tick ts = 0;
     };
+    static_assert(sizeof(Waiter) == 16);
 
     struct LockState
     {
@@ -80,8 +84,10 @@ class SyncArbiter : public Snapshotable
     {
         std::uint64_t arrivedMask = 0;
         std::uint32_t arrivedCount = 0;
+        std::uint32_t pad = 0;
         Tick maxArrivalTs = 0;
     };
+    static_assert(sizeof(BarrierState) == 24);
 
     std::uint32_t participants_;
     Tick grantLatency_;

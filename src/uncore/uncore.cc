@@ -20,7 +20,6 @@ Uncore::Uncore(const UncoreParams &params, UncoreStats *stats,
     : params_(params),
       stats_(stats),
       violations_(violations),
-      map_(params.mapBanks),
       l2_(params.l2),
       sync_(params.numLocks, params.numBarriers, params.numCores,
             params.syncLatency, stats),

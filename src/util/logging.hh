@@ -79,7 +79,7 @@ bool quietLogging();
 
 /**
  * Attribute this thread's warn()/inform() lines: engine threads
- * register their role ("core 3", "manager", "relay 0") and optionally
+ * register their role ("core 3", "manager", "worker 0") and optionally
  * a live target-clock source, so interleaved multi-threaded log lines
  * read "warn: [core 3 @12345] ..." instead of being anonymous.
  * @param cycle the thread's local clock, or nullptr when it has none;

@@ -43,24 +43,39 @@ class SnapshotWriter
         buf_.clear();
     }
 
-    /** Serialize one trivially-copyable value. */
+    /**
+     * True for types whose bytes are fully determined by their value.
+     * A type with implicit padding fails: memcpy would copy whatever
+     * garbage the padding holds, and the same state would snapshot to
+     * different bytes. Spell such padding out as zeroed members.
+     */
+    template <typename T>
+    static constexpr bool rawSnapshottable =
+        std::is_trivially_copyable_v<T> &&
+        (std::has_unique_object_representations_v<T> ||
+         std::is_floating_point_v<T>);
+
+    /** Serialize one trivially-copyable, padding-free value. */
     template <typename T>
     void
     put(const T &value)
     {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "put() requires a trivially copyable type");
+        static_assert(rawSnapshottable<T>,
+                      "put() requires a trivially copyable type "
+                      "without implicit padding");
         const auto *bytes = reinterpret_cast<const std::uint8_t *>(&value);
         buf_.insert(buf_.end(), bytes, bytes + sizeof(T));
     }
 
-    /** Serialize a vector of trivially-copyable values. */
+    /** Serialize a vector of trivially-copyable, padding-free
+     *  values. */
     template <typename T>
     void
     putVector(const std::vector<T> &values)
     {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "putVector() requires a trivially copyable type");
+        static_assert(rawSnapshottable<T>,
+                      "putVector() requires a trivially copyable type "
+                      "without implicit padding");
         put<std::uint64_t>(values.size());
         if (!values.empty()) {
             const auto *bytes =

@@ -11,13 +11,17 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <map>
 #include <thread>
 
+#include "core/manager_logic.hh"
 #include "core/run.hh"
+#include "core/serial_engine.hh"
 #include "core/sim_system.hh"
 #include "obs/forensics.hh"
 #include "obs/progress.hh"
 #include "util/cancel.hh"
+#include "util/checksum.hh"
 #include "workload/kernels.hh"
 
 using namespace slacksim;
@@ -408,4 +412,112 @@ TEST(SimSystem, AccessorsOnFreshWorld)
     EXPECT_FALSE(sys.allFinished());
     EXPECT_EQ(sys.totalCommittedUops(), 0u);
     EXPECT_EQ(sys.workload().name, "pingpong");
+}
+
+namespace {
+
+/** Size and XXH64 of one snapshot: a byte-exact pin. */
+struct SnapshotPin
+{
+    std::size_t bytes = 0;
+    std::uint64_t digest = 0;
+};
+
+SnapshotPin
+pinOf(const SnapshotWriter &w)
+{
+    return {w.size(), xxh64(w.bytes().data(), w.size())};
+}
+
+/** The world after a serial bounded(64) run to 60K committed uops. */
+SnapshotPin
+worldPinAfterBoundedRun(const std::string &kernel)
+{
+    SimConfig config;
+    config.workload.kernel = kernel;
+    config.workload.numThreads = config.target.numCores;
+    config.engine.scheme = SchemeKind::Bounded;
+    config.engine.slackBound = 64;
+    config.engine.maxCommittedUops = 60000;
+    SimSystem sys(config);
+    SerialEngine engine(sys);
+    engine.run();
+    // Mid-run state: the global map, the MSHRs and the sync arbiter
+    // all hold live entries the snapshot must serialize.
+    EXPECT_GT(sys.uncore().map().size(), 0u);
+    SnapshotWriter w;
+    sys.save(w);
+    return pinOf(w);
+}
+
+} // namespace
+
+TEST(SnapshotBytes, PaddedTypesAreNotRawSnapshottable)
+{
+    struct Padded
+    {
+        std::uint8_t a;
+        std::uint32_t b;
+    };
+    struct Spelled
+    {
+        std::uint8_t a;
+        std::uint8_t pad[3];
+        std::uint32_t b;
+    };
+    EXPECT_FALSE(SnapshotWriter::rawSnapshottable<Padded>);
+    EXPECT_TRUE(SnapshotWriter::rawSnapshottable<Spelled>);
+    EXPECT_TRUE(SnapshotWriter::rawSnapshottable<BusMsg>);
+    EXPECT_TRUE(SnapshotWriter::rawSnapshottable<double>);
+}
+
+TEST(SnapshotBytes, WorldSnapshotsArePinned)
+{
+    // Identical logical state must give identical bytes in every
+    // process: no uninitialised padding, no hash-map iteration order.
+    // The pins also guard layout changes to the map and manager
+    // serialization, which must not move a single byte.
+    const std::map<std::string, SnapshotPin> pins = {
+        {"barnes", {341969, 0xb85241ea42e85400ull}},
+        {"fft", {552697, 0x6f7d4899694ff90cull}},
+        {"falseshare", {168697, 0x1e82917a390f232dull}},
+    };
+    for (const auto &[kernel, want] : pins) {
+        SCOPED_TRACE(kernel);
+        const SnapshotPin got = worldPinAfterBoundedRun(kernel);
+        EXPECT_EQ(got.bytes, want.bytes);
+        EXPECT_EQ(got.digest, want.digest);
+    }
+}
+
+TEST(SnapshotBytes, SortedManagerStagingIsPinned)
+{
+    // Several sources' events staged for sorted service, serialized
+    // per source in arrival order after a partial service round.
+    SimConfig config;
+    config.workload.kernel = "falseshare";
+    config.workload.numThreads = config.target.numCores;
+    SimSystem sys(config);
+    HostStats host;
+    ManagerLogic mgr(sys, config.engine, &host);
+    mgr.setSorted(true);
+    for (CoreId src = 0; src < 4; ++src) {
+        for (std::uint32_t i = 0; i < 6; ++i) {
+            BusMsg msg;
+            msg.addr = Addr{(src * 7 + i * 13) % 32} << 6;
+            msg.ts = 10 * i + src;
+            msg.seq = i + 1;
+            msg.type = i % 2 ? MsgType::GetM : MsgType::GetS;
+            msg.src = src;
+            ASSERT_TRUE(sys.core(src).outQ().push(msg));
+        }
+    }
+    EXPECT_EQ(mgr.pumpAll(), 24u);
+    EXPECT_EQ(mgr.serviceSorted(25), 12u);
+    EXPECT_EQ(mgr.pendingDepth(), 12u);
+    SnapshotWriter w;
+    mgr.save(w);
+    const SnapshotPin got = pinOf(w);
+    EXPECT_EQ(got.bytes, 632u);
+    EXPECT_EQ(got.digest, 0xa1dfefa9d85452f5ull);
 }

@@ -272,52 +272,6 @@ TEST(RunResultReport, JsonIsWellFormedAndComplete)
     EXPECT_EQ(json.back(), '}');
 }
 
-TEST(BankedManager, CcMatchesSingleBankExactly)
-{
-    // Sharding the manager's staging and the global cache map into
-    // per-address banks must be invisible to the gold standard: the
-    // per-bank tournament plus the top-level (ts, src, seq) selection
-    // reproduces the exact single-bank service order.
-    for (const std::string kernel : {"falseshare", "uniform"}) {
-        auto flat = smallConfig(kernel, SchemeKind::CycleByCycle, true);
-        for (const std::uint32_t banks : {1u, 2u, 4u, 16u}) {
-            auto banked = flat;
-            banked.engine.managerBanks = banks;
-            SCOPED_TRACE(kernel + " banks=" + std::to_string(banks));
-            expectSameSimulation(runSimulation(flat),
-                                 runSimulation(banked));
-        }
-    }
-}
-
-TEST(BankedManager, SlackSchemesMatchAcrossBankCounts)
-{
-    // Slack schemes service in the same order regardless of how the
-    // state is banked, so their (approximate) results must also be
-    // identical across bank counts — including the violation tallies
-    // the banked GlobalCacheMap detects.
-    for (const SchemeKind scheme :
-         {SchemeKind::Bounded, SchemeKind::Adaptive}) {
-        auto one = smallConfig("falseshare", scheme, true);
-        one.engine.slackBound = 16;
-        // Inline host: slack-scheme service order is arrival order,
-        // which only the single-threaded topology pins down — with
-        // real workers it is timing-dependent by design.
-        one.engine.hostThreads = 1;
-        one.engine.managerBanks = 1;
-        auto eight = one;
-        eight.engine.managerBanks = 8;
-        SCOPED_TRACE(schemeName(scheme));
-        const auto a = runSimulation(one);
-        const auto b = runSimulation(eight);
-        expectSameSimulation(a, b);
-        EXPECT_EQ(a.violations.busViolations,
-                  b.violations.busViolations);
-        EXPECT_EQ(a.violations.mapViolations,
-                  b.violations.mapViolations);
-    }
-}
-
 TEST(HostThreads, CcInvariantAcrossWorkerTopologies)
 {
     // Worker multiplexing is a host-side scheduling choice: pinning
@@ -352,36 +306,10 @@ TEST(HostThreads, SlackSchemesCompleteOnEveryTopology)
     }
 }
 
-TEST(HierarchicalManager, CcMatchesFlatManagerExactly)
+TEST(HostThreads, SixteenCoresComplete)
 {
-    // The paper's scaling suggestion: relay threads consolidating
-    // clusters of OutQs must be invisible to the gold standard.
-    for (const std::string kernel : {"falseshare", "uniform"}) {
-        auto flat = smallConfig(kernel, SchemeKind::CycleByCycle, true);
-        auto tree = flat;
-        tree.engine.managerClusters = 2;
-        SCOPED_TRACE(kernel);
-        expectSameSimulation(runSimulation(flat), runSimulation(tree));
-    }
-}
-
-TEST(HierarchicalManager, SlackSchemesCompleteThroughRelays)
-{
-    for (const SchemeKind scheme :
-         {SchemeKind::Bounded, SchemeKind::Unbounded,
-          SchemeKind::Adaptive}) {
-        auto config = smallConfig("uniform", scheme, true);
-        config.engine.managerClusters = 4;
-        config.engine.slackBound = 16;
-        const Workload w = makeWorkload(config.workload);
-        SCOPED_TRACE(schemeName(scheme));
-        const auto r = runSimulation(config);
-        EXPECT_EQ(r.committedUops, w.totalMicroOps());
-    }
-}
-
-TEST(HierarchicalManager, SixteenCoresFourClusters)
-{
+    // The widest practical target on a threaded host: 16 cores over
+    // four workers must finish every uop.
     SimConfig config;
     config.target.numCores = 16;
     config.workload.kernel = "uniform";
@@ -389,21 +317,8 @@ TEST(HierarchicalManager, SixteenCoresFourClusters)
     config.workload.iters = 150;
     config.engine.scheme = SchemeKind::Bounded;
     config.engine.slackBound = 8;
-    config.engine.managerClusters = 4;
+    config.engine.hostThreads = 5;
     const Workload w = makeWorkload(config.workload);
     const auto r = runSimulation(config);
     EXPECT_EQ(r.committedUops, w.totalMicroOps());
-}
-
-TEST(HierarchicalManager, InvalidCombinationsRejected)
-{
-    SimConfig config;
-    config.workload.numThreads = config.target.numCores;
-    config.engine.managerClusters = 2;
-    config.engine.parallelHost = false;
-    EXPECT_DEATH(config.validate(), "parallel host");
-
-    config.engine.parallelHost = true;
-    config.engine.checkpoint.mode = CheckpointMode::Measure;
-    EXPECT_DEATH(config.validate(), "checkpointing");
 }

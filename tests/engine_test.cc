@@ -88,23 +88,19 @@ TEST(EngineCC, ParallelMatchesSerialGoldStandard)
 TEST(EngineCC, BudgetStopMatchesSerialAtEveryTopology)
 {
     // A uop budget stops a threaded CC run at a global-cycle cut, so
-    // every host-thread and bank count ends exactly where the serial
-    // reference does. Thread counts are pinned: auto could resolve to
-    // inline mode on a 1-CPU runner.
+    // every host-thread count ends exactly where the serial reference
+    // does. Thread counts are pinned: auto could resolve to inline
+    // mode on a 1-CPU runner.
     for (const std::string kernel : {"fft", "falseshare"}) {
         auto config = baseConfig(kernel, SchemeKind::CycleByCycle, false);
         config.engine.maxCommittedUops = 20000;
         const auto serial = runSimulation(config);
         config.engine.parallelHost = true;
         for (const std::uint32_t threads : {1u, 2u, 4u, 9u}) {
-            for (const std::uint32_t banks : {1u, 4u}) {
-                config.engine.hostThreads = threads;
-                config.engine.managerBanks = banks;
-                SCOPED_TRACE(kernel + " hostThreads=" +
-                             std::to_string(threads) +
-                             " banks=" + std::to_string(banks));
-                expectSameSimulation(serial, runSimulation(config));
-            }
+            config.engine.hostThreads = threads;
+            SCOPED_TRACE(kernel + " hostThreads=" +
+                         std::to_string(threads));
+            expectSameSimulation(serial, runSimulation(config));
         }
     }
 }

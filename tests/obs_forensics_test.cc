@@ -260,23 +260,19 @@ TEST(ForensicsRun, LedgerMatchesViolationStatsParallel)
     expectLedgerConsistent(r);
 }
 
-TEST(ForensicsRun, LedgerAttributionIdenticalAcrossManagerBanks)
+TEST(ForensicsRun, LedgerAttributionIsDeterministic)
 {
-    // Violations detected inside different global-map banks must land
-    // in the one shared ledger with the same attribution the single-
-    // bank layout produces: same totals, same (requester, prior)
-    // pairs, same deterministic top-offender order. Inline host
-    // pins the arrival order so the comparison is exact.
-    auto one = baseConfig("falseshare", SchemeKind::Bounded, true);
-    one.engine.slackBound = 256;
-    one.engine.maxCommittedUops = 40000;
-    one.engine.hostThreads = 1;
-    one.engine.managerBanks = 1;
-    auto four = one;
-    four.engine.managerBanks = 4;
+    // Two runs of one config must attribute every violation the same
+    // way: same totals, same (requester, prior) pairs, same
+    // deterministic top-offender order. Inline host pins the arrival
+    // order so the comparison is exact.
+    auto config = baseConfig("falseshare", SchemeKind::Bounded, true);
+    config.engine.slackBound = 256;
+    config.engine.maxCommittedUops = 40000;
+    config.engine.hostThreads = 1;
 
-    const RunResult a = runSimulation(one);
-    const RunResult b = runSimulation(four);
+    const RunResult a = runSimulation(config);
+    const RunResult b = runSimulation(config);
     EXPECT_GT(a.violations.total(), 0u)
         << "config no longer produces violations; test is vacuous";
     expectLedgerConsistent(a);

@@ -298,6 +298,24 @@ TEST(JobSpecTest, MalformedFaultSpecShapeIsRejected)
               std::string::npos);
 }
 
+TEST(JobSpecTest, ClustersAcceptedOnlyAsZero)
+{
+    // Specs written before the key lost its meaning carry
+    // "clusters":0 and must keep parsing; any other value is refused.
+    JobSpec spec;
+    std::string error;
+    ASSERT_TRUE(parseSpec(R"({"kernel": "fft", "cores": 4,
+                              "host_threads": 3, "clusters": 0})",
+                          &spec, &error))
+        << error;
+    EXPECT_EQ(spec.hostThreads(), 3u); // the manager + two workers
+    EXPECT_EQ(spec.toJson().find("clusters"), std::string::npos);
+
+    EXPECT_NE(parseError(R"({"kernel": "fft", "clusters": 2})")
+                  .find("clusters: relay threads were removed"),
+              std::string::npos);
+}
+
 TEST(JobSpecTest, RoundTripsThroughJson)
 {
     JobSpec spec = makeSpec(12, 5);

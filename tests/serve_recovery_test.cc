@@ -219,6 +219,40 @@ TEST(JournalTest, ClassifiesQueuedRunningAndTerminalJobs)
     EXPECT_EQ(replay.linesSkipped, 2u);
 }
 
+TEST(JournalTest, RecoversSpecsThatCarryClustersZero)
+{
+    // Every journal written while relay threads existed has
+    // "clusters":0 in each spec; --recover must still resubmit them.
+    const std::string path = "journal_clusters.jsonl";
+    writeFile(
+        path,
+        "{\"schema\": \"slacksim.server_events.v1\"}\n"
+        "{\"seq\": 1, \"event\": \"submitted\", \"job\": 1, "
+        "\"spec\": {\"version\": \"slacksim.job.v1\", "
+        "\"kernel\": \"fft\", \"cores\": 2, \"scheme\": \"bounded\", "
+        "\"slack\": 10, \"quantum\": 8, \"seed\": 42, "
+        "\"max_uops\": 0, \"warmup_uops\": 0, "
+        "\"checkpoint\": \"off\", \"checkpoint_interval\": 50000, "
+        "\"parallel_host\": true, \"clusters\": 0, "
+        "\"priority\": 3, \"timeout_ms\": 0, \"fault_seed\": 1}}\n");
+
+    JournalReplay replay;
+    ASSERT_TRUE(readJournal(path, &replay));
+    std::remove(path.c_str());
+    ASSERT_EQ(replay.jobs.size(), 1u);
+    EXPECT_FALSE(replay.jobs[0].terminal);
+
+    JobSpec spec;
+    std::string error;
+    ASSERT_TRUE(JobSpec::parse(json::parse(replay.jobs[0].specJson),
+                               &spec, &error))
+        << error << " <- " << replay.jobs[0].specJson;
+    EXPECT_EQ(spec.kernel, "fft");
+    EXPECT_EQ(spec.cores, 2u);
+    EXPECT_EQ(spec.hostThreads(), 3u);
+    spec.toConfig().validate();
+}
+
 TEST(JournalTest, MissingFileIsReportedNotFatal)
 {
     JournalReplay replay;
