@@ -37,7 +37,7 @@ commonSpecs(std::initializer_list<OptionSpec> extra = {})
         {"uops", "N", "committed micro-op budget per run"},
         {"kernel", "NAME", "run only this workload kernel"},
         {"cores", "N", "simulated core count (default 8)"},
-        {"serial", "", "use the serial reference engine"},
+        {"serial", "", "run on one host thread (the deterministic reference)"},
         {"verbose", "", "keep warn/inform chatter on"},
         {"csv", "PREFIX", "also write each table as PREFIX<table>.csv"},
     };
@@ -130,7 +130,8 @@ banner(const std::string &what, const Options &opts,
        std::uint64_t uops)
 {
     std::cout << "# " << what << "\n"
-              << "# host=" << (parallelHost(opts) ? "parallel" : "serial")
+              << "# host="
+              << (parallelHost(opts) ? "parallel" : "one host thread")
               << " uop-budget=" << uops
               << "  (paper: 100M instructions on 2x quad-core Xeon;"
               << " scaled, see EXPERIMENTS.md)\n\n";

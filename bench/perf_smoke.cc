@@ -351,8 +351,10 @@ main(int argc, char **argv)
         runs.push_back({"cc-sorted", c});
     }
     {
-        // Serial reference engine on the same bounded workload: the
-        // no-threads control group for the two runs above.
+        // One host thread (parallelHost = false: the manager drives
+        // every core) on the same bounded workload: the no-workers
+        // control group for the two runs above. The name predates the
+        // single engine and stays so committed baselines still pair.
         SimConfig c = microConfig(opts, kernel, uops * 5);
         c.engine.scheme = SchemeKind::Bounded;
         c.engine.slackBound = 64;

@@ -3,8 +3,8 @@
  * Demonstrates the paper's Section 5.1 checkpointing exactly as
  * described: fork()-based process checkpoints with waitpid()
  * suspension, _exit() rollback, and kill() release of obsolete
- * checkpoints — running a full speculative slack simulation on the
- * serial engine.
+ * checkpoints — running a full speculative slack simulation on one
+ * host thread.
  *
  * Because completion propagates through the chain of suspended
  * checkpoint-holder processes, main() forks a driver process and
@@ -92,7 +92,7 @@ main(int argc, char **argv)
 {
     Options opts(argc, argv);
     opts.enforceKnown("fork_checkpoint_demo: real fork() process "
-                      "checkpoints on the serial engine",
+                      "checkpoints on one host thread",
                       flagSpecs());
     std::cout << "Running a speculative slack simulation with REAL "
                  "fork() process checkpoints...\n\n";

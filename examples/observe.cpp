@@ -41,7 +41,7 @@ flagSpecs()
         {"kernel", "NAME", "workload kernel (default uniform)"},
         {"uops", "N", "committed micro-op budget (default 60000)"},
         {"cores", "N", "simulated core count (default 8)"},
-        {"serial", "", "use the serial reference engine"},
+        {"serial", "", "run on one host thread (the deterministic reference)"},
         {"speculative", "", "roll back on violations (else measure)"},
         {"interval", "CYCLES", "checkpoint interval (default 2000)"},
         {"target", "R", "adaptive target violation rate"},

@@ -38,7 +38,7 @@ flagSpecs()
     std::vector<OptionSpec> specs = {
         {"kernel", "NAME", "workload kernel (default water)"},
         {"uops", "N", "committed micro-op budget (default 50000)"},
-        {"serial", "", "use the serial reference engine"},
+        {"serial", "", "run on one host thread (the deterministic reference)"},
     };
     for (const auto &spec : obs::obsOptionSpecs())
         specs.push_back(spec);

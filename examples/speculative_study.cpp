@@ -31,7 +31,7 @@ flagSpecs()
         {"kernel", "NAME", "workload kernel (default lu)"},
         {"uops", "N", "committed micro-op budget (default 100000)"},
         {"interval", "CYCLES", "checkpoint interval (default 20000)"},
-        {"serial", "", "use the serial reference engine"},
+        {"serial", "", "run on one host thread (the deterministic reference)"},
     };
     for (const auto &spec : obs::obsOptionSpecs())
         specs.push_back(spec);

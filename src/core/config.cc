@@ -91,9 +91,10 @@ SimConfig::validate() const
     }
     if (engine.checkpoint.mode != CheckpointMode::Off &&
         engine.checkpoint.tech == CheckpointTech::ForkProcess &&
-        engine.parallelHost) {
-        SLACKSIM_FATAL("fork() checkpoints require the serial host "
-                       "engine (fork clones only one thread)");
+        engine.parallelHost && engine.hostThreads != 1) {
+        SLACKSIM_FATAL("fork() checkpoints require exactly one host "
+                       "thread: parallelHost = false or hostThreads = 1 "
+                       "(fork clones only the calling thread)");
     }
     if (engine.burstCycles < 1)
         SLACKSIM_FATAL("burstCycles must be >= 1");

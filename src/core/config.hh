@@ -76,7 +76,7 @@ struct AdaptiveParams
 enum class CheckpointTech : std::uint8_t {
     Memory,      //!< in-memory serialization of the quiesced world
     ForkProcess, //!< the paper's fork()-based process checkpoints;
-                 //!< serial engine only (fork clones one thread), and
+                 //!< one host thread only (fork clones one thread), and
                  //!< rollback resumes in the *parent* process — see
                  //!< core/fork_checkpoint.hh
 };
@@ -182,8 +182,8 @@ struct EngineConfig
      *  budget then counts post-warmup work only. */
     std::uint64_t warmupUops = 0;
 
-    /** true: threaded engine (one thread per core + manager thread);
-     *  false: deterministic single-threaded engine. */
+    /** true: host threads per hostThreads; false: one host thread,
+     *  the same as hostThreads = 1 (the deterministic inline mode). */
     bool parallelHost = true;
 
     /** Cycles a core may run per scheduling burst (parallel host). */

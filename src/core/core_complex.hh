@@ -1,8 +1,9 @@
 /**
  * @file
  * One simulated core bundled with its L1 caches, workload trace
- * cursor, event queues and local clock — the unit a core thread (or
- * the serial engine) advances one target cycle at a time.
+ * cursor, event queues and local clock — the unit a worker thread
+ * (or the manager, on one host thread) advances one target cycle at
+ * a time.
  */
 
 #ifndef SLACKSIM_CORE_CORE_COMPLEX_HH

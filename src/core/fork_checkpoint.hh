@@ -12,8 +12,8 @@
  * is released with kill(), exactly as the paper describes.
  *
  * Restrictions: fork() only clones the calling thread, so this
- * technology is only legal with the single-threaded serial engine
- * (SimConfig::validate enforces it). Completion propagates by exit
+ * technology is only legal on one host thread (parallelHost = false
+ * or hostThreads = 1; SimConfig::validate enforces it). Completion propagates by exit
  * status through the chain of holders, so the final results must be
  * emitted by the finishing process (print them, or write them to a
  * pipe created before the first checkpoint) — see

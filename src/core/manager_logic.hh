@@ -1,7 +1,6 @@
 /**
  * @file
- * Manager-side event plumbing shared by the serial and parallel
- * engines: pulling OutQ entries (the paper's GQ consolidation),
+ * Manager-side event plumbing of the engine: pulling OutQ entries (the paper's GQ consolidation),
  * servicing them in arrival or timestamp-sorted order, delivering the
  * responses with overflow handling, tracking per-checkpoint-interval
  * violation data, and raising rollback requests in speculative mode.

@@ -44,6 +44,10 @@ constexpr std::uint64_t parkSpanMinNs = 1000;
 // next service round unblocks us without any futex round trip.
 constexpr std::uint32_t spinRoundsBeforePark = 4;
 
+// Simulated cycles global time may advance with no uop committed
+// before the run is declared deadlocked.
+constexpr Tick deadlockCycles = 2000000;
+
 } // namespace
 
 ParallelEngine::ParallelEngine(SimSystem &sys)
@@ -62,8 +66,10 @@ ParallelEngine::ParallelEngine(SimSystem &sys)
     // so W = hostThreads - 1 workers share the simulated cores; the
     // auto policy (hostThreads = 0) sizes from the machine so a
     // single-CPU host lands in inline mode (W = 0) where concurrency
-    // could only ever add park/wake overhead.
-    std::uint32_t requested = engine_.hostThreads;
+    // could only ever add park/wake overhead. parallelHost = false is
+    // another way to ask for one host thread.
+    std::uint32_t requested =
+        engine_.parallelHost ? engine_.hostThreads : 1;
     if (requested == 0) {
         requested =
             std::max(1u, std::thread::hardware_concurrency());
@@ -154,8 +160,7 @@ ParallelEngine::runCoreBurst(CoreId c)
                                   std::memory_order_release);
             if (lean) {
                 // Final drain at the transition; a finished core
-                // emits nothing more, so later rounds skip it
-                // entirely (the serial engine rescans every round).
+                // emits nothing more, so later rounds skip it.
                 mgr_.pumpCore(c);
             } else {
                 board_.bump(c);
@@ -193,7 +198,7 @@ ParallelEngine::runCoreBurst(CoreId c)
         obs::PhaseScope simulate(obs::Phase::Simulate);
         // Manager-driven: the manager is the only writer of maxLocal
         // and phase/stop, and it cannot change them mid-burst — load
-        // once and run the same tight loop the serial engine runs.
+        // once and run a tight loop.
         const Tick pinned_max_local =
             ctl.maxLocal.load(std::memory_order_acquire);
         while (advanced < engine_.burstCycles) {
@@ -236,12 +241,12 @@ ParallelEngine::runCoreBurst(CoreId c)
                          static_cast<std::int64_t>(advanced));
     }
     if (lean) {
-        // Manager-driven: pump this core's OutQ while its lines
-        // are cache-hot, exactly the serial engine's queue-push
-        // cadence. A burst that advanced nothing emitted nothing
-        // (backpressure excepted: there the queue is *full*), so the
-        // pump is skipped where the serial engine rescans. Nobody
-        // sleeps on the board, so skip the bump too.
+        // Manager-driven: pump this core's OutQ while its lines are
+        // cache-hot, so arrival order is the deterministic rotation
+        // order of these bursts. A burst that advanced nothing emitted
+        // nothing (backpressure excepted: there the queue is *full*),
+        // so its pump is skipped. Nobody sleeps on the board, so skip
+        // the bump too.
         if (advanced > 0 || backpressured) {
             obs::PhaseScope push(obs::Phase::QueuePush);
             mgr_.pumpCore(c);
@@ -263,8 +268,13 @@ bool
 ParallelEngine::driveInline()
 {
     const CoreId n = sys_.numCores();
-    const CoreId start = inlineRotate_;
+    // Rotate the start every round: a fixed order would batch every
+    // core's requests at the same timestamps each round, a resonance
+    // a multi-threaded host does not have. Rotating before the scan
+    // starts the first round at core 1, the order the one-thread
+    // golden pins were taken in.
     inlineRotate_ = (inlineRotate_ + 1) % n;
+    const CoreId start = inlineRotate_;
     bool progress = false;
     for (CoreId i = 0; i < n; ++i) {
         const CoreId c = static_cast<CoreId>((start + i) % n);
@@ -653,16 +663,18 @@ ParallelEngine::run()
         wd->setProgressProbe([this] {
             return "progress-sum=" + std::to_string(board_.sum()) +
                    " generation=" +
-                   std::to_string(board_.generation());
+                   std::to_string(board_.generation()) +
+                   " committed=" + std::to_string(committedTotal());
         });
         wd->start();
         watchdog_ = wd;
     }
     mgr_.setSorted(pacer_.sortedService());
-    if (ckpt_.enabled()) {
-        const auto event = ckpt_.takeCheckpoint(0);
-        SLACKSIM_ASSERT(event == Checkpointer::Event::Taken,
-                        "fork checkpoints are serial-only");
+    if (ckpt_.enabled() && ckpt_.takeCheckpoint(0) ==
+                               Checkpointer::Event::ResumedFromRollback) {
+        // Fork technology: this process woke up as the first
+        // checkpoint; a cycle-by-cycle replay follows.
+        mgr_.setSorted(true);
     }
     updatePacing(true);
 
@@ -683,8 +695,10 @@ ParallelEngine::run()
                              [this] { board_.wakeAll(); });
     bool cancelled = false;
 
-    double last_progress_wall = 0.0;
     Tick last_global = 0;
+    double stalled_since = -1.0; //!< wall s; < 0 while global moves
+    std::uint64_t last_committed = 0;
+    Tick committed_stale_since = 0;
     bool warmup_pending = engine_.warmupUops > 0;
 
     for (;;) {
@@ -703,8 +717,8 @@ ParallelEngine::run()
         // Read local clocks *before* pumping: every event with a
         // timestamp below the resulting safe time is then guaranteed
         // to already be in its OutQ, which makes sorted service
-        // deterministic and identical to the serial reference. One
-        // scan serves the safe time, the pacing targets, and the
+        // deterministic and identical to the one-thread reference.
+        // One scan serves the safe time, the pacing targets, and the
         // slack-spread stat below.
         ClockSample clocks;
         std::size_t activity = 0;
@@ -716,14 +730,13 @@ ParallelEngine::run()
                               !warmup_pending && pacer_.sortedService();
         bool hold_pacing = false;
         if (drives) {
-            // Manager-driven rounds run burst-then-sample, the serial
-            // engine's own cadence: the bursts pump their OutQs
-            // synchronously, so sampling *after* them is just as safe
-            // (any future event from a core is stamped at or above that
-            // core's current clock) — and it paces the next round a
-            // full slack window ahead of where the cores actually are,
-            // not where they were a round ago. One scan per round, like
-            // the serial engine.
+            // Manager-driven rounds run burst-then-sample: the bursts
+            // pump their OutQs synchronously, so sampling *after* them
+            // is just as safe (any future event from a core is stamped
+            // at or above that core's current clock) — and it paces the
+            // next round a full slack window ahead of where the cores
+            // actually are, not where they were a round ago. One scan
+            // per round.
             if (driveInline())
                 ++activity;
             clocks = sampleClocks();
@@ -735,8 +748,8 @@ ParallelEngine::run()
                     committedBound() >= engine_.maxCommittedUops;
                 hold_pacing = reachable && !cut;
                 if (cut && reachable) {
-                    // Service up to the cut, as the inline and serial
-                    // loops do before their budget check.
+                    // Service up to the cut, as the inline loop does
+                    // before its budget check.
                     mgr_.pumpAll();
                     mgr_.serviceSorted(clocks.global);
                     mgr_.flushOverflow();
@@ -853,9 +866,20 @@ ParallelEngine::run()
                 // boundary and no stragglers remain in the OutQs:
                 // the world is stable, snapshot it directly.
                 const bool was_replay = pacer_.replayMode();
-                const auto event = ckpt_.takeCheckpoint(boundary);
-                SLACKSIM_ASSERT(event == Checkpointer::Event::Taken,
-                                "fork checkpoints are serial-only");
+                if (ckpt_.takeCheckpoint(boundary) ==
+                    Checkpointer::Event::ResumedFromRollback) {
+                    // Fork technology: this process just woke up as
+                    // the checkpoint. Replay follows, as after a
+                    // memory rollback (one host thread: no workers).
+                    recovery_.noteRollback(boundary);
+                    refreshControlAfterRestore();
+                    mgr_.setSorted(true);
+                    updatePacing(false);
+                    session.forceSample(boundary);
+                    session.collectTrace();
+                    ++activity;
+                    continue;
+                }
                 if (was_replay && !pacer_.sortedService()) {
                     mgr_.serviceSorted(maxTick);
                     mgr_.setSorted(false);
@@ -901,11 +925,25 @@ ParallelEngine::run()
             }
         }
 
-        // Watchdog on stalled global time.
+        // Hang checks. A stalled global time trips the wall-clock
+        // watchdog; the clock is read only while global time stands
+        // still, so a one-thread run that advances every round never
+        // pays for it. A simulated deadlock, clocks ticking with no uop
+        // committing, is caught in simulated time; the stale span can
+        // only grow when global time moves, so check it only then.
         if (global != last_global) {
             last_global = global;
-            last_progress_wall = secondsSince(t0);
-        } else if (secondsSince(t0) - last_progress_wall >
+            stalled_since = -1.0;
+            const std::uint64_t committed = committedTotal();
+            if (committed != last_committed) {
+                last_committed = committed;
+                committed_stale_since = global;
+            } else if (global > committed_stale_since + deadlockCycles) {
+                panicNoCommitProgress(global, committed);
+            }
+        } else if (stalled_since < 0.0) {
+            stalled_since = secondsSince(t0);
+        } else if (secondsSince(t0) - stalled_since >
                    engine_.watchdogSeconds) {
             SLACKSIM_PANIC("parallel engine watchdog: no global ",
                            "progress, global=", global,
@@ -957,13 +995,33 @@ ParallelEngine::run()
     return r;
 }
 
+void
+ParallelEngine::panicNoCommitProgress(Tick global, std::uint64_t committed)
+{
+    pauseWorld(holdPanic); // the dump reads every core's state
+    std::string dump;
+    for (CoreId c = 0; c < sys_.numCores(); ++c) {
+        auto &cc = sys_.core(c);
+        dump += " core" + std::to_string(c) + "{t=" +
+                std::to_string(cc.localTime()) + ",uops=" +
+                std::to_string(cc.stats().committedInstrs) +
+                ",inq=" + std::to_string(cc.inQ().size()) +
+                ",outq=" + std::to_string(cc.outQ().size()) +
+                ",l1iMiss=" + std::to_string(cc.stats().l1iMisses) + "}";
+    }
+    SLACKSIM_PANIC("no commit progress for 2M cycles: global=", global,
+                   " committed=", committed,
+                   " scheme=", schemeName(engine_.scheme),
+                   " busReq=", sys_.uncoreStats().busRequests, dump);
+}
+
 RunResult
 ParallelEngine::collectResult(double wall_seconds) const
 {
     RunResult r;
     r.workloadName = sys_.workload().name;
     r.scheme = engine_.scheme;
-    r.parallelHost = true;
+    r.parallelHost = engine_.parallelHost;
     r.execCycles = sys_.maxLocalTime();
     r.globalCycles = sys_.globalTime();
     r.committedUops = sys_.totalCommittedUops();

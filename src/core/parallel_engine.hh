@@ -11,10 +11,12 @@
  * over its owned cores and only parks when *every* owned core is
  * blocked, which collapses the per-core park/wake storms the profiler
  * attributed most parallel host time to. The degenerate inline mode
- * (hostThreads = 1, or an auto-detected single-CPU host) launches no
- * workers at all: the manager drives every core burst itself, so a
- * host with nothing to gain from concurrency pays zero park/wake
- * cost — the honest configuration in which parallel >= serial.
+ * (hostThreads = 1, parallelHost = false, or an auto-detected
+ * single-CPU host) launches no workers at all: the manager drives
+ * every core burst itself in a rotating round-robin, so a host with
+ * nothing to gain from concurrency pays zero park/wake cost. Inline
+ * mode is also the deterministic one-thread reference every slack
+ * scheme is pinned on, and the only mode fork() checkpoints run in.
  *
  * Pacing protocol: each core owns an atomic local clock; the manager
  * publishes a per-core max-local-time. Wakes are coalesced: pacing
@@ -69,7 +71,7 @@ namespace obs {
 class StallWatchdog;
 } // namespace obs
 
-/** The multi-threaded engine. */
+/** The engine, on one host thread or many. */
 class ParallelEngine
 {
   public:
@@ -179,6 +181,7 @@ class ParallelEngine
         holdRollback = 1 << 0, //!< restoring a checkpoint
         holdWindow = 1 << 1,   //!< manager-driven replay window
         holdWarmup = 1 << 2,   //!< discarding warmup statistics
+        holdPanic = 1 << 3,    //!< dumping core state before a panic
     };
     void pauseWorld(WorldHold hold);
     void resumeWorld(WorldHold hold);
@@ -191,6 +194,10 @@ class ParallelEngine
     /** Credit the cycles the open window stepped up to @p at. */
     void creditWindowCycles(Tick at);
     void refreshControlAfterRestore();
+    /** Stop the world, dump every core and panic: global time reached
+     *  @p global with the committed total stuck at @p committed. */
+    [[noreturn]] void panicNoCommitProgress(Tick global,
+                                            std::uint64_t committed);
     RunResult collectResult(double wall_seconds) const;
 
     SimSystem &sys_;
@@ -213,8 +220,8 @@ class ParallelEngine
     std::vector<std::uint8_t> workerWoken_;
     /** Last burst outcome per core (worker park recheck). */
     std::vector<std::uint8_t> lastRun_;
-    /** Inline-mode scan start, rotated like the serial engine's so no
-     *  core is systematically serviced first. */
+    /** Inline-mode scan start, rotated every round so no core is
+     *  systematically serviced first. */
     CoreId inlineRotate_ = 0;
     /**
      * The manager drives every core itself while no other thread

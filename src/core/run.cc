@@ -8,7 +8,6 @@
 #include <memory>
 
 #include "core/parallel_engine.hh"
-#include "core/serial_engine.hh"
 #include "core/sim_system.hh"
 #include "fault/fault_plan.hh"
 #include "obs/run_report.hh"
@@ -77,14 +76,10 @@ runSimulation(const SimConfig &run_config)
 
     SimSystem sys(config);
     sys.setRunBinding(token, plan.get());
-    RunResult result;
-    if (config.engine.parallelHost) {
-        ParallelEngine engine(sys);
-        result = engine.run();
-    } else {
-        SerialEngine engine(sys);
-        result = engine.run();
-    }
+    // One engine for every host: parallelHost = false is the same
+    // engine on one host thread (the manager drives every core).
+    ParallelEngine engine(sys);
+    RunResult result = engine.run();
 
     if (plan) {
         plan->uninstall();

@@ -58,7 +58,7 @@ class SimSystem : public Snapshotable
      * Zero every simulated statistic (core, uncore, violation
      * counters, histograms) without touching architectural state —
      * the warmup-discard operation. Caller must guarantee no core
-     * thread is running (serial engine, or parallel engine paused).
+     * worker thread is running (one host thread, or workers paused).
      */
     void resetSimStats();
 

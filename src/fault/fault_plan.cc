@@ -119,7 +119,7 @@ FaultPlan::parseSpec(const std::string &text)
                            "': backpressure needs cycle:N:COUNT");
         }
         spec.arg0 = parseSpecUint(parts[2], "round count");
-        // Stay well under the engines' livelock panic thresholds: the
+        // Stay well under the engine's hang checks: the
         // burst must be recoverable, not a disguised hang.
         if (spec.arg0 < 1 || spec.arg0 > 50000) {
             SLACKSIM_FATAL("fault-spec '", text,

@@ -33,7 +33,7 @@
  * `result.host.inline_windows` — the target cycles the parallel
  * engine's manager stepped alone and the spans they came in (the
  * whole run in inline mode, one span per replay window otherwise;
- * 0 on the serial engine) — and `profile.inline_window_ns`, the
+ * parallelHost = false is inline mode) — and `profile.inline_window_ns`, the
  * worker time parked through those windows that the verdict
  * excludes.
  * v6 -> v7 (additive): `result.host.inert_cycles` — core-cycles

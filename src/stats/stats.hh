@@ -152,7 +152,7 @@ struct HostStats
     std::uint64_t managerWakeups = 0;
     std::uint64_t coreParkEvents = 0;
     /** Host threads the run actually used (manager + workers); 1
-     *  for the serial engine and parallel inline mode. */
+     *  in inline mode (parallelHost = false or hostThreads = 1). */
     std::uint32_t hostThreadsUsed = 1;
     /** Target cycles (global time) the parallel engine's manager
      *  stepped alone, driving every core itself: the whole run in

@@ -15,8 +15,8 @@
 #include <thread>
 
 #include "core/manager_logic.hh"
+#include "core/parallel_engine.hh"
 #include "core/run.hh"
-#include "core/serial_engine.hh"
 #include "core/sim_system.hh"
 #include "obs/forensics.hh"
 #include "obs/progress.hh"
@@ -429,18 +429,20 @@ pinOf(const SnapshotWriter &w)
     return {w.size(), xxh64(w.bytes().data(), w.size())};
 }
 
-/** The world after a serial bounded(64) run to 60K committed uops. */
+/** The world after a one-host-thread bounded(64) run to 60K
+ *  committed uops. */
 SnapshotPin
 worldPinAfterBoundedRun(const std::string &kernel)
 {
     SimConfig config;
     config.workload.kernel = kernel;
     config.workload.numThreads = config.target.numCores;
+    config.engine.parallelHost = false;
     config.engine.scheme = SchemeKind::Bounded;
     config.engine.slackBound = 64;
     config.engine.maxCommittedUops = 60000;
     SimSystem sys(config);
-    SerialEngine engine(sys);
+    ParallelEngine engine(sys);
     engine.run();
     // Mid-run state: the global map, the MSHRs and the sync arbiter
     // all hold live entries the snapshot must serialize.

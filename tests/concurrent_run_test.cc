@@ -73,7 +73,7 @@ TEST(ConcurrentRunTest, TwoParallelEnginesMatchSoloRuns)
 
 TEST(ConcurrentRunTest, MixedHostEnginesCoexist)
 {
-    // One threaded engine and one serial engine sharing the process.
+    // A threaded run and a one-host-thread run sharing the process.
     const SimConfig cfg_a = makeConfig("pingpong", 4, 1, true);
     const SimConfig cfg_b = makeConfig("stream", 2, 2, false);
 

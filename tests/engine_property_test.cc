@@ -116,7 +116,7 @@ TEST(LaxP2PSeeds, SameSeedSameSerialResult)
 
 TEST(LaxP2PSeeds, DifferentSeedsGiveDifferentPairings)
 {
-    // The serial engine's round-robin keeps cores so evenly paced
+    // The one-thread round-robin keeps cores so evenly paced
     // that the pairing choice rarely changes results there, so check
     // the pairing sequence itself at the pacer level.
     HostStats host_a, host_b;

@@ -88,7 +88,7 @@ TEST(EngineCC, ParallelMatchesSerialGoldStandard)
 TEST(EngineCC, BudgetStopMatchesSerialAtEveryTopology)
 {
     // A uop budget stops a threaded CC run at a global-cycle cut, so
-    // every host-thread count ends exactly where the serial reference
+    // every host-thread count ends exactly where the one-thread reference
     // does. Thread counts are pinned: auto could resolve to inline
     // mode on a 1-CPU runner.
     for (const std::string kernel : {"fft", "falseshare"}) {

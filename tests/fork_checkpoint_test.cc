@@ -106,7 +106,7 @@ multiCheckpointScenario(int fd)
 void
 engineForkScenario(int fd)
 {
-    // A full serial-engine speculative run with fork() checkpoints.
+    // A full one-host-thread speculative run with fork() checkpoints.
     SimConfig config;
     config.workload.kernel = "falseshare";
     config.workload.numThreads = config.target.numCores;
@@ -130,6 +130,55 @@ engineForkScenario(int fd)
         static_cast<unsigned long long>(r.host.rollbacks),
         static_cast<unsigned long long>(r.host.checkpointsTaken));
     writeLine(fd, buf);
+}
+
+/** The speculative falseshare run of engineForkScenario, on the
+ *  hostThreads = 1 spelling of one host thread. */
+SimConfig
+oneThreadSpeculativeConfig(CheckpointTech tech)
+{
+    SimConfig config;
+    config.workload.kernel = "falseshare";
+    config.workload.numThreads = config.target.numCores;
+    config.workload.iters = 800;
+    config.engine.parallelHost = true;
+    config.engine.hostThreads = 1;
+    config.engine.scheme = SchemeKind::Adaptive;
+    config.engine.adaptive.initialBound = 64;
+    config.engine.adaptive.targetViolationRate = 0.05;
+    config.engine.checkpoint.mode = CheckpointMode::Speculative;
+    config.engine.checkpoint.tech = tech;
+    config.engine.checkpoint.interval = 1000;
+    return config;
+}
+
+/** The simulated outcome of a run: what a checkpoint technology
+ *  must not change (host-side counters excluded). */
+std::string
+simulatedDigest(const RunResult &r)
+{
+    std::string out = "exec=" + std::to_string(r.execCycles) +
+                      " uops=" + std::to_string(r.committedUops) +
+                      " rb=" + std::to_string(r.host.rollbacks) +
+                      " bus=" + std::to_string(r.violations.busViolations) +
+                      " map=" + std::to_string(r.violations.mapViolations) +
+                      " busReq=" + std::to_string(r.uncore.busRequests) +
+                      " c2c=" +
+                      std::to_string(r.uncore.cacheToCacheTransfers) +
+                      " core=";
+    CoreStats core = r.coreTotal;
+    core.zipWith(r.coreTotal, [&](std::uint64_t &v, std::uint64_t) {
+        out += std::to_string(v) + ",";
+    });
+    return out;
+}
+
+void
+engineForkOneThreadScenario(int fd)
+{
+    writeLine(fd, simulatedDigest(runSimulation(
+                      oneThreadSpeculativeConfig(
+                          CheckpointTech::ForkProcess))));
 }
 
 void
@@ -192,6 +241,29 @@ TEST(ForkCheckpoint, SpeculativeEngineRunCompletes)
     EXPECT_GT(ck, 1u);
 }
 
+TEST(ForkCheckpoint, OneHostThreadMatchesMemoryCheckpoints)
+{
+    // hostThreads = 1 is the same one-thread engine as parallelHost =
+    // false, so fork() checkpoints run there too, and rolling back by
+    // waking a parent process must simulate exactly what restoring an
+    // in-memory snapshot does.
+    const std::string fork_run = runInChild(engineForkOneThreadScenario);
+    ASSERT_FALSE(fork_run.empty());
+    const RunResult memory =
+        runSimulation(oneThreadSpeculativeConfig(CheckpointTech::Memory));
+    if (std::getenv("SLACKSIM_FAULT_SPEC")) {
+        // Chaos matrix: an injected child death or snapshot corruption
+        // hits one technology only, so just require completion.
+        EXPECT_NE(fork_run.find("uops=" +
+                                std::to_string(memory.committedUops)),
+                  std::string::npos)
+            << fork_run;
+        return;
+    }
+    ASSERT_GT(memory.host.rollbacks, 0u);
+    EXPECT_EQ(fork_run, simulatedDigest(memory));
+}
+
 TEST(ForkCheckpoint, MeasureModeNeverRollsBack)
 {
     const std::string out = runInChild(engineForkMeasureScenario);
@@ -214,12 +286,18 @@ TEST(ForkCheckpoint, MeasureModeNeverRollsBack)
     EXPECT_EQ(done, 1);
 }
 
-TEST(ForkCheckpoint, ParallelHostRejected)
+TEST(ForkCheckpoint, MoreThanOneHostThreadRejected)
 {
     SimConfig config;
     config.workload.numThreads = config.target.numCores;
     config.engine.parallelHost = true;
     config.engine.checkpoint.mode = CheckpointMode::Measure;
     config.engine.checkpoint.tech = CheckpointTech::ForkProcess;
-    EXPECT_DEATH(config.validate(), "serial host engine");
+    for (const std::uint32_t threads : {0u, 2u, 4u}) {
+        SCOPED_TRACE(testing::Message() << "hostThreads=" << threads);
+        config.engine.hostThreads = threads;
+        EXPECT_DEATH(config.validate(), "exactly one host thread");
+    }
+    config.engine.hostThreads = 1;
+    config.validate(); // one host thread: accepted
 }

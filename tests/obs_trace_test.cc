@@ -501,7 +501,7 @@ TEST(ChromeTrace, WriterEscapesAndOrdersRecords)
 
 TEST(TraceRollback, SerialReplaySpansClosedAndAttributed)
 {
-    // A spurious rollback rewinds the serial engine one interval; the
+    // A spurious rollback rewinds a one-thread run one interval; the
     // exported trace must attribute the episode (rollback span,
     // violation-rollback instant, replay window) and close every span
     // it opened in the rewound epoch.

@@ -308,8 +308,8 @@ TEST(RunReport, HostSectionSaysWhereTheCyclesRan)
 {
     // v6: inline_cycles / inline_windows. Threaded speculative runs
     // hand every replay window to the manager, so the two cycle
-    // counts agree; inline mode is one window covering the run; the
-    // serial engine has no manager-driven windows at all.
+    // counts agree; inline mode is one window covering the run, and
+    // parallelHost = false is inline mode by another name.
     SimConfig spec = smallConfig(SchemeKind::Adaptive, true);
     spec.engine.adaptive.targetViolationRate = 1e-5;
     spec.engine.adaptive.epochCycles = 500;
@@ -343,14 +343,14 @@ TEST(RunReport, HostSectionSaysWhereTheCyclesRan)
     EXPECT_EQ(inline_doc.at("profile").at("inline_window_ns").asUint(),
               0u);
 
-    const auto serial_doc = runAndParse(
-        smallConfig(SchemeKind::Adaptive, false), "report_inline_ser.json");
-    EXPECT_EQ(serial_doc.at("result").at("host").at("inline_cycles")
-                  .asUint(),
-              0u);
-    EXPECT_EQ(serial_doc.at("result").at("host").at("inline_windows")
-                  .asUint(),
-              0u);
+    RunResult serial;
+    const auto serial_doc =
+        runAndParse(smallConfig(SchemeKind::Adaptive, false),
+                    "report_inline_ser.json", &serial);
+    const auto &shost = serial_doc.at("result").at("host");
+    EXPECT_EQ(shost.at("host_threads_used").asUint(), 1u);
+    EXPECT_EQ(shost.at("inline_windows").asUint(), 1u);
+    EXPECT_EQ(shost.at("inline_cycles").asUint(), serial.globalCycles);
 
     // A CC run cannot idle-skip, so most stall cycles take the memo.
     RunResult cc;

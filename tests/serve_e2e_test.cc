@@ -133,7 +133,7 @@ TEST(ServeE2ETest, EightMixedJobsUnderBudgetAllComplete)
     std::vector<std::uint64_t> ids;
     for (std::size_t i = 0; i < kernels.size(); ++i) {
         // One job carries a fault spec (host-timing perturbation
-        // only) and one runs on the serial engine. The parallel jobs
+        // only) and one runs on one host thread. The parallel jobs
         // pin host_threads so the task accounting below is exact on
         // any machine (auto topology sizes from the host CPU count).
         std::string extra = "\"seed\": " + std::to_string(100 + i);
